@@ -11,7 +11,7 @@
     - [Paper]: the paper's local checks — Constraint I/II on the D_H/D_T
       indices, Constraint III verified only when Theorem 3's trigger fires.
     - [Exact]: the paper's local checks for I/II hardened with provably
-      exact triggers for III (a BFS from the extension site for leaf
+      exact triggers for III (a per-host {!leaf_verdict} for leaf
       extensions; a full verification for closing edges, which are rare).
       This is the default: it never reports a pattern under a diameter that
       is not canonical.
@@ -37,11 +37,44 @@ val check :
   bool
 (** [pattern'] is the extended pattern; [idx]/[idx'] the distance indices
     before/after the extension. True iff the path on vertices [0..l] is still
-    the canonical diameter of [pattern']. *)
+    the canonical diameter of [pattern'], given that it was the canonical
+    diameter before the extension. *)
 
 val check_naive : Spm_pattern.Pattern.t -> l:int -> bool
 (** Ground truth: the canonical diameter of the pattern is exactly the
     identity path [0..l]. *)
+
+(** {1 Per-host leaf verdicts}
+
+    A pendant leaf shortens no path between existing vertices, so whether a
+    leaf on [host] keeps the extension admissible depends only on the parent
+    pattern, the host and the leaf's label. A verdict decides it for every
+    label at once, before any child pattern exists. [Exact] mode's leaf
+    checks ({!check}, {!check_neighborhood}) are these verdicts, and
+    [Level_grow] applies them to descriptors before it builds anything. *)
+
+type leaf_verdict
+
+val skinny_leaf :
+  pattern:Spm_pattern.Pattern.t ->
+  idx:Distance_index.t ->
+  l:int ->
+  host:int ->
+  leaf_verdict
+(** The skinny family's verdict for a leaf on [host], for a [pattern] whose
+    canonical diameter is the identity path [0..l]. Constraints I/II use the
+    host's D_H / D_T; the diameter bound uses its eccentricity e. When
+    1 + e = l, Constraint III compares the label against two lexicographic
+    minima over the host's geodesics to the vertices at distance e (one read
+    outward from the host, one read inward to it). O(|V| + |E|). *)
+
+val neighborhood_leaf :
+  idx:Distance_index.t -> r:int -> host:int -> leaf_verdict
+(** The r-neighborhood family's verdict: [idx] rooted at the center, and a
+    leaf is admissible iff its host lies within distance [r - 1]. *)
+
+val admits : leaf_verdict -> Spm_graph.Label.t -> bool
+(** Whether a leaf with this label is admissible. O(1). *)
 
 (** {1 Constraint families}
 

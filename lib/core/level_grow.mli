@@ -7,7 +7,17 @@
     extension must pass Constraints I–III ({!Constraints.check}) and the σ
     frequency test on distinct embedding subgraphs. Patterns are
     deduplicated by canonical key, which also provides the unique-generation
-    guarantee. *)
+    guarantee.
+
+    Decisions are made on the pattern before embedding work is paid for
+    (DESIGN.md §20). Enumeration keeps only a mapping count and a
+    parent-coverage count per extension. In [Exact] mode every leaf is
+    decided by a per-host {!Constraints.leaf_verdict} before any child
+    exists; closing edges, and every extension in [Naive] and [Paper] mode,
+    are checked on the built child. The default support is the mapping
+    count over |Aut| and needs no list, so a child's mapping list is built
+    only once the child is admissible, new and frequent (a custom [support]
+    gets the list once the child is admissible and new). *)
 
 type mined = {
   pattern : Spm_pattern.Pattern.t;
@@ -18,9 +28,19 @@ type mined = {
 
 type stats = {
   extensions_tried : int;
+      (** extension attempts: one per descriptor a state tries, whatever
+          decided it (a leaf verdict, the check on the built child, the
+          canonical-key table or support). In closed growth a state with no
+          applicable support-preserving extension tries its universal
+          descriptors twice, once eagerly and once when it branches, and
+          both attempts count. *)
   constraint_rejected : int;
+      (** attempts rejected by the constraint, on the pattern or on the
+          built child *)
   infrequent : int;
-  emitted : int;
+      (** new canonical patterns whose support is below σ; each key counts
+          once *)
+  emitted : int;  (** patterns returned *)
   interrupted : bool;
       (** the run was cancelled or timed out mid-closure; the mined list is
           the partial prefix emitted before the interruption *)
@@ -67,9 +87,13 @@ val grow :
     instead of 2^k — and is how the paper's experiments remain sub-second on
     40-vertex injected patterns despite Theorem 4's complete-set claim.
 
-    [run] (default a fresh unbounded context) is polled once per state
-    popped and once per embedding scanned during candidate enumeration;
-    when it is interrupted, [grow] returns the patterns emitted so far with
+    [run] (default a fresh unbounded context) is polled
+    ({!Spm_engine.Run.check}) once per state popped and once per embedding
+    scanned during candidate enumeration. It is ticked once per extension
+    attempt, so its [candidates] counter advances with [extensions_tried];
+    [set_level] records each popped state's edge count, and [emit] counts
+    emissions.
+    When it is interrupted, [grow] returns the patterns emitted so far with
     [interrupted = true] instead of raising — the closure's emission order
     is deterministic, so the partial list is a prefix of the full output.
     The run's emission budget replaces the old [?max_patterns]: a fork with

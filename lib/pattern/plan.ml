@@ -339,33 +339,3 @@ let exists_from ?run t ~target ~anchor =
     ~stop:(fun () -> true)
     (fun _ -> found := true);
   !found
-
-module Cache = struct
-  type plan = t
-
-  (* Keyed by canonical code; each key holds the plans of the structurally
-     distinct representations seen under that code (plans name concrete
-     vertex ids, so isomorphic renumberings cannot share one). In practice
-     a miner grows one representative per class and the bucket is a
-     singleton. *)
-  type t = (string, plan list ref) Hashtbl.t
-
-  let create () : t = Hashtbl.create 64
-
-  let find (cache : t) ?freq p =
-    let key = Canon.key p in
-    match Hashtbl.find_opt cache key with
-    | None ->
-      let pl = compile ?freq p in
-      Hashtbl.add cache key (ref [ pl ]);
-      pl
-    | Some cell -> (
-      match List.find_opt (fun pl -> Graph.equal_structure pl.pat p) !cell with
-      | Some pl -> pl
-      | None ->
-        let pl = compile ?freq p in
-        cell := pl :: !cell;
-        pl)
-
-  let aut_count cache ?freq p = Array.length (find cache ?freq p).auts
-end

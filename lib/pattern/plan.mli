@@ -27,8 +27,7 @@
       representative need not place the anchor on the anchored target).
 
     Plans are immutable after {!compile} and safe to share across pool
-    domains; caches ({!Cache}) are plain hash tables meant to live inside
-    one mining run or server request, never shared between domains. *)
+    domains. *)
 
 type t
 
@@ -131,22 +130,3 @@ val iter_anchored :
   unit
 (** All mappings with the anchor pinned (same schedule as
     {!exists_from}). The array is reused between calls. *)
-
-(** Per-run plan cache keyed by canonical code. Isomorphic patterns with
-    different vertex numberings share a key but need distinct plans (a
-    plan's order and constraints name concrete vertex ids), so each key
-    holds the plans of the structurally-distinct representations seen —
-    in practice one. Not domain-safe: create one per run/task. *)
-module Cache : sig
-  type plan = t
-
-  type t
-
-  val create : unit -> t
-
-  val find : t -> ?freq:(Spm_graph.Label.t -> int) -> Pattern.t -> plan
-  (** The cached plan for this exact pattern representation, compiling on
-      miss. [freq] is used only on miss. *)
-
-  val aut_count : t -> ?freq:(Spm_graph.Label.t -> int) -> Pattern.t -> int
-end

@@ -301,18 +301,55 @@ let test_distance_index_leaf () =
 
 (* --- Constraints --- *)
 
-(* Random growth on a diameter; at each candidate extension compare the three
-   modes against ground truth. [Exact] must always agree with [Naive]; we
-   also track [Paper] (its Theorem-3 trigger is believed exact under the
-   level discipline, but we only assert it on extensions the level discipline
-   would propose: leaf hosts and closing pairs chosen freely here, so Paper
-   is allowed to differ; the property asserts Paper never *wrongly accepts*
-   without the naive check failing in the other direction... we simply
-   assert Exact = Naive and Paper >= Naive on acceptance soundness). *)
+(* Random growth on a diameter. At every step, each leaf the alphabet allows
+   (every host, every label) is checked three ways that must agree: [Exact],
+   [Naive] recomputation, and the per-host verdict applied to the parent.
+   The r-neighborhood leaf rule is checked on the same pattern, centered at
+   vertex 0 with r = ecc(0) and r = ecc(0) + 1, against its [Naive]
+   recomputation. Closing edges are checked one random pair a step; [Paper]
+   mode is left out (its Theorem-3 trigger is incomplete, see
+   test_skinny's paper-trigger test). A random admissible extension then
+   grows the pattern, so the parent always satisfies the invariant. *)
+let num_test_labels = 3
+
+let leaf_modes_agree p idx ~l =
+  let ok = ref true in
+  let center_idx = Distance_index.init p ~head:0 ~tail:0 in
+  let ecc0 = Bfs.eccentricity p 0 in
+  for host = 0 to Graph.n p - 1 do
+    let verdict = Constraints.skinny_leaf ~pattern:p ~idx ~l ~host in
+    let idx' = Distance_index.extend_new_vertex idx ~host in
+    let center_idx' = Distance_index.extend_new_vertex center_idx ~host in
+    for label = 0 to num_test_labels - 1 do
+      let p' = Spm_pattern.Pattern.extend_new_vertex p ~host ~label in
+      let ext = Constraints.New_leaf { host } in
+      let check mode = Constraints.check ~mode ~pattern':p' ~idx ~idx' ~l ext in
+      let naive = check Constraints.Naive in
+      if check Constraints.Exact <> naive then ok := false;
+      if Constraints.admits verdict label <> naive then ok := false;
+      List.iter
+        (fun r ->
+          let nb mode =
+            Constraints.check_neighborhood ~mode ~pattern':p' ~idx':center_idx'
+              ~r ext
+          in
+          let nb_naive = nb Constraints.Naive in
+          if nb Constraints.Exact <> nb_naive then ok := false;
+          if
+            Constraints.admits
+              (Constraints.neighborhood_leaf ~idx:center_idx ~r ~host)
+              label
+            <> nb_naive
+          then ok := false)
+        [ ecc0; ecc0 + 1 ]
+    done
+  done;
+  !ok
+
 let constraint_modes_once seed =
   let st = Gen.rng seed in
   let l = 3 + Random.State.int st 3 in
-  let labels = Array.init (l + 1) (fun _ -> Random.State.int st 3) in
+  let labels = Array.init (l + 1) (fun _ -> Random.State.int st num_test_labels) in
   (* Make the identity path canonical by construction: relabel so that it is
      the canonical diameter of the bare path. *)
   let base = Gen.path_graph labels in
@@ -323,6 +360,7 @@ let constraint_modes_once seed =
     let idx = ref (Distance_index.init !p ~head:0 ~tail:l) in
     let ok = ref true in
     for _ = 1 to 10 do
+      if not (leaf_modes_agree !p !idx ~l) then ok := false;
       let n = Graph.n !p in
       let choice = Random.State.int st 3 in
       let attempt =
@@ -330,7 +368,7 @@ let constraint_modes_once seed =
           let host = Random.State.int st n in
           let p' =
             Spm_pattern.Pattern.extend_new_vertex !p ~host
-              ~label:(Random.State.int st 3)
+              ~label:(Random.State.int st num_test_labels)
           in
           let idx' = Distance_index.extend_new_vertex !idx ~host in
           Some (p', idx', Constraints.New_leaf { host })
@@ -413,6 +451,30 @@ let test_constraint_examples () =
        (Constraints.New_leaf { host = 1 })
     = Constraints.check_naive p4 ~l)
 
+let test_leaf_verdict_eccentricity () =
+  (* The 4-cycle on the 2-long diameter 0-1-2: vertex 3 passes
+     Constraints I/II (D_H = D_T = 1), but its eccentricity is already 2,
+     so any leaf on it stretches the diameter to 3. Growth never reaches
+     this parent (the C4 gap), so the random property cannot find it. *)
+  let l = 2 in
+  let p =
+    Graph.Builder.of_edges ~labels:[| 0; 0; 0; 0 |]
+      [ (0, 1); (1, 2); (2, 3); (0, 3) ]
+  in
+  Alcotest.(check (array int)) "identity canonical" [| 0; 1; 2 |]
+    (Canonical_diameter.compute p);
+  let idx = Distance_index.init p ~head:0 ~tail:l in
+  let verdict = Constraints.skinny_leaf ~pattern:p ~idx ~l ~host:3 in
+  for label = 0 to num_test_labels - 1 do
+    let p' = Spm_pattern.Pattern.extend_new_vertex p ~host:3 ~label in
+    let idx' = Distance_index.extend_new_vertex idx ~host:3 in
+    check_bool "naive rejects" false (Constraints.check_naive p' ~l);
+    check_bool "exact rejects" false
+      (Constraints.check ~mode:Constraints.Exact ~pattern':p' ~idx ~idx' ~l
+         (Constraints.New_leaf { host = 3 }));
+    check_bool "verdict rejects" false (Constraints.admits verdict label)
+  done
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -445,7 +507,11 @@ let () =
       ( "distance_index",
         [ Alcotest.test_case "leaf extension" `Quick test_distance_index_leaf ] );
       ( "constraints",
-        [ Alcotest.test_case "concrete examples" `Quick test_constraint_examples ] );
+        [
+          Alcotest.test_case "concrete examples" `Quick test_constraint_examples;
+          Alcotest.test_case "leaf verdict eccentricity" `Quick
+            test_leaf_verdict_eccentricity;
+        ] );
       qsuite "props"
         [
           prop_canonical_diameter_is_minimum;

@@ -379,6 +379,78 @@ let prop_closed_growth_sound_and_subset =
           && Skinny_mine.is_target m.Skinny_mine.pattern ~l ~delta:2)
         closed)
 
+(* --- Growth counters and the eager-duplicate finding --- *)
+
+let closed_config closed_growth =
+  { Skinny_mine.Config.default with closed_growth }
+
+(* [extensions_tried; constraint_rejected; infrequent; emitted], summed over
+   the clusters — the totals behind perfbench's level_grow.* metrics. *)
+let grow_totals (r : Skinny_mine.result) =
+  let sum f =
+    List.fold_left (fun a g -> a + f g) 0 r.Skinny_mine.stats.Skinny_mine.grow_stats
+  in
+  [
+    sum (fun g -> g.Level_grow.extensions_tried);
+    sum (fun g -> g.Level_grow.constraint_rejected);
+    sum (fun g -> g.Level_grow.infrequent);
+    sum (fun g -> g.Level_grow.emitted);
+  ]
+
+(* Every tried candidate counts, wherever its verdict is reached: a leaf
+   rejected on the pattern, before any child exists, counts exactly where a
+   check on the built child would have. The values were recorded when
+   LevelGrow still built every child before checking it. *)
+let test_growth_counters_pinned () =
+  let g = Gen_qcheck.er ~seed:7 ~n:100 ~avg_degree:2.5 ~num_labels:5 in
+  let totals closed =
+    grow_totals
+      (Skinny_mine.mine ~config:(closed_config closed) g ~l:3 ~delta:2 ~sigma:2)
+  in
+  Alcotest.(check (list int))
+    "complete growth: tried, rejected, infrequent, emitted"
+    [ 17613; 14858; 677; 1171 ] (totals false);
+  Alcotest.(check (list int))
+    "closed growth: tried, rejected, infrequent, emitted"
+    [ 11340; 9219; 468; 495 ] (totals true)
+
+(* Finding 5 (DESIGN.md §7), pinned, not fixed. In closed growth's eager
+   phase a duplicate universal child always ends the phase as covered, even
+   when the duplicate's key was judged infrequent; then nothing continues
+   the dropped state. The smallest seeded instance: one label, a 4-cycle
+   (1-3-4-5) with two pendants (0, 2) on vertex 5. Complete growth reports
+   the banner (the 4-cycle with a tail, support 2); closed growth drops it,
+   and no pattern it reports contains the banner. Treating the duplicate
+   as infrequent would report it too, 4 patterns instead of 3. *)
+let test_closed_growth_drops_infrequent_duplicate () =
+  let g = Gen_qcheck.er ~seed:20 ~n:6 ~avg_degree:2.0 ~num_labels:1 in
+  Alcotest.(check (list (pair int int)))
+    "the instance"
+    [ (0, 5); (1, 3); (1, 5); (2, 5); (3, 4); (4, 5) ]
+    (Graph.edges g);
+  let banner =
+    Graph.Builder.of_edges ~labels:(Array.make 5 0)
+      [ (0, 1); (1, 2); (2, 3); (3, 4); (1, 4) ]
+  in
+  let mine closed =
+    (Skinny_mine.mine ~config:(closed_config closed) g ~l:3 ~delta:1 ~sigma:2)
+      .Skinny_mine.patterns
+  in
+  let has_banner = List.exists (fun m -> Canon.iso m.Skinny_mine.pattern banner) in
+  let complete = mine false and closed = mine true in
+  check_bool "the banner is a 3-long 1-skinny target" true
+    (Skinny_mine.is_target banner ~l:3 ~delta:1);
+  check "the banner's support" 2 (Support.single_graph banner g);
+  check_bool "complete growth reports the banner" true (has_banner complete);
+  Alcotest.(check (list int))
+    "closed growth: supports of the 3 patterns reported" [ 8; 6; 2 ]
+    (List.map (fun m -> m.Skinny_mine.support) closed);
+  check_bool "closed growth drops the banner" false (has_banner closed);
+  check_bool "no reported pattern contains the banner" true
+    (List.for_all
+       (fun m -> Support.single_graph banner m.Skinny_mine.pattern = 0)
+       closed)
+
 (* --- Injected patterns (sigma = 2) --- *)
 
 let test_injection_recovery () =
@@ -616,6 +688,10 @@ let () =
           Alcotest.test_case "closed growth powerset" `Quick
             test_closed_growth_collapses_powerset;
           Alcotest.test_case "closed-only" `Quick test_closed_only_filter;
+          Alcotest.test_case "growth counters pinned" `Quick
+            test_growth_counters_pinned;
+          Alcotest.test_case "closed growth drops infrequent duplicate" `Quick
+            test_closed_growth_drops_infrequent_duplicate;
           Alcotest.test_case "max patterns cap" `Quick test_max_patterns_cap;
           Alcotest.test_case "transactions" `Quick test_transaction_setting;
         ] );
