@@ -90,12 +90,24 @@ let legacy_iter_mappings ~pattern ~target f =
     place 0
   end
 
+(* The image subgraph of a mapping: its sorted image edge set, each edge
+   packed as [u * data_n + v] with [u < v]. *)
+let key_of_mapping ~data_n ~pattern m =
+  let key =
+    Array.of_list
+      (List.map
+         (fun (pu, pv) ->
+           let u = m.(pu) and v = m.(pv) in
+           (min u v * data_n) + max u v)
+         (Graph.edges pattern))
+  in
+  Array.sort Int.compare key;
+  key
+
 let legacy_support p g =
   let dedup = Hashtbl.create 1024 in
   legacy_iter_mappings ~pattern:p ~target:g (fun m ->
-      Hashtbl.replace dedup
-        (Embedding.key_of_mapping ~data_n:(Graph.n g) ~pattern:p m)
-        ());
+      Hashtbl.replace dedup (key_of_mapping ~data_n:(Graph.n g) ~pattern:p m) ());
   Hashtbl.length dedup
 
 (* --- Support sections --- *)

@@ -76,7 +76,10 @@ let weibo ~seed ~num_conversations ~chain ~l ?(jobs = 1) () =
   let recovered =
     List.exists
       (fun m ->
-        Spm_pattern.Subiso.exists ~pattern:m.Skinny_mine.pattern ~target:motif)
+        Spm_pattern.Plan.exists
+          (Spm_pattern.Plan.compile ~freq:(Graph.label_freq motif)
+             m.Skinny_mine.pattern)
+          ~target:motif)
       result.Skinny_mine.patterns
   in
   Printf.printf "Figure-24 style root-reengagement chain present: %b\n%!"

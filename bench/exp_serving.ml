@@ -108,5 +108,5 @@ let run ~seed ~n ?(jobs_list = [ 1; 2; 4 ]) () =
         (Option.get !baseline /. elapsed))
     jobs_list;
   Printf.printf
-    "  (containment queries fan Subiso checks across the pool; the repeated \
+    "  (containment queries fan plan checks across the pool; the repeated \
      mine is served from the LRU)\n%!"

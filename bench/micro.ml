@@ -67,8 +67,9 @@ let csr_tests =
       Test.make
         ~name:(Printf.sprintf "csr/subiso-count-f%d" f)
         (Staged.stage (fun () ->
-             Spm_pattern.Subiso.count_mappings ~limit:10_000 ~pattern
-               ~target:g ()));
+             Spm_pattern.Plan.count_mappings ~limit:10_000
+               (Spm_pattern.Plan.compile ~freq:(Graph.label_freq g) pattern)
+               ~target:g));
     ]
   in
   mk_family 10 @ mk_family 50

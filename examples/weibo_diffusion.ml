@@ -56,7 +56,10 @@ let () =
   let found =
     List.exists
       (fun m -> Spm_pattern.Canon.iso m.Skinny_mine.pattern motif
-                || Spm_pattern.Subiso.exists ~pattern:m.Skinny_mine.pattern ~target:motif)
+                || Spm_pattern.Plan.exists
+                     (Spm_pattern.Plan.compile ~freq:(Graph.label_freq motif)
+                        m.Skinny_mine.pattern)
+                     ~target:motif)
       result.Skinny_mine.patterns
   in
   Printf.printf "root re-engagement structure recovered: %b\n" found

@@ -34,10 +34,7 @@ type t = {
   mutable pruned : int;
   mutable service_seconds : float;
   started : float;
-  mutable stop : bool;
-  mutable listen_addr : Unix.sockaddr option;
-  sub_lock : Mutex.t;
-  mutable subscribers : Unix.file_descr list;
+  front : Spm_server.Frontend.t;
 }
 
 let create ?deadline ~manifest ~endpoints () =
@@ -74,10 +71,7 @@ let create ?deadline ~manifest ~endpoints () =
     pruned = 0;
     service_seconds = 0.0;
     started = Clock.now ();
-    stop = false;
-    listen_addr = None;
-    sub_lock = Mutex.create ();
-    subscribers = [];
+    front = Spm_server.Frontend.create ();
   }
 
 let locked t f =
@@ -91,8 +85,6 @@ let shard_patterns t =
       Array.map (fun s -> List.length s.summaries) t.shards)
 
 let pruning t = locked t (fun () -> (t.contacted, t.pruned))
-
-let stopping t = t.stop
 
 let stats t =
   locked t (fun () ->
@@ -341,39 +333,9 @@ let apply_diff t i (u : Protocol.update_reply) =
       shard.summaries <-
         after_removed @ List.map Partition.summary_of_mined u.Protocol.added)
 
-(* --- the push registry (router-side Subscribe) --- *)
-
-let push_to_subscribers t (u : Protocol.update_reply) ~seconds =
-  let frame =
-    Protocol.encode_response
-      (Protocol.response ~seconds (Protocol.Update_reply u))
-  in
-  Mutex.lock t.sub_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.sub_lock)
-    (fun () ->
-      t.subscribers <-
-        List.filter
-          (fun fd ->
-            match Protocol.write_frame fd frame with
-            | () -> true
-            | exception (Unix.Unix_error _ | Codec.Corrupt _) ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              false)
-          t.subscribers)
-
 (* --- dispatch --- *)
 
 let count_error t = locked t (fun () -> t.errors <- t.errors + 1)
-
-let wake_listener t =
-  match t.listen_addr with
-  | None -> ()
-  | Some addr -> (
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    match Unix.connect fd addr with
-    | () -> Unix.close fd
-    | exception Unix.Unix_error _ -> ( try Unix.close fd with _ -> ()))
 
 let unreachable_names t results targets =
   List.filter_map
@@ -386,9 +348,9 @@ let unreachable_names t results targets =
 (* Merge the scatter of a pattern-answering request ([Mine] / [Lookup] /
    [Contains]). Precedence: a shard [Error] payload propagates verbatim
    (it is what the single process would have said), then transport
-   failures surface as [Partial] (v4) or an [Error] naming the shards,
-   then the merged patterns under the worst shard status. *)
-let merge_query t ~client_version results targets =
+   failures surface as [Partial], then the merged patterns under the
+   worst shard status. *)
+let merge_query t results targets =
   let shard_error =
     List.find_map
       (fun i ->
@@ -416,20 +378,8 @@ let merge_query t ~client_version results targets =
           | Some (Error _) | None -> (status, lists))
         (Run.Ok, []) targets
     in
-    let merged = merge_patterns (List.rev lists) in
-    if unreachable = [] then (status, [], Protocol.Patterns merged)
-    else if client_version >= 4 then begin
-      count_error t;
-      (status, unreachable, Protocol.Patterns merged)
-    end
-    else begin
-      count_error t;
-      ( status,
-        [],
-        Protocol.Error
-          ("partial answer; unreachable shards: "
-          ^ String.concat ", " unreachable) )
-    end
+    if unreachable <> [] then count_error t;
+    (status, unreachable, Protocol.Patterns (merge_patterns (List.rev lists)))
 
 let merge_progress results targets =
   let z =
@@ -460,8 +410,7 @@ let merge_progress results targets =
 (* Update fan-out: all shards, no retry (not idempotent), and an ack only
    on unanimous version agreement — a partially-applied update must
    surface as an error, never as a stale-but-Ok answer. *)
-let run_update t ~client_version results targets edits =
-  ignore edits;
+let run_update t results targets =
   let failures = unreachable_names t results targets in
   let shard_failure =
     List.find_map
@@ -487,12 +436,11 @@ let run_update t ~client_version results targets edits =
   match (failures, shard_failure) with
   | _ :: _, _ ->
     count_error t;
-    let msg =
-      "update not acknowledged; unreachable shards: "
-      ^ String.concat ", " failures
-    in
-    if client_version >= 4 then (Run.Ok, failures, Protocol.Error msg)
-    else (Run.Ok, [], Protocol.Error msg)
+    ( Run.Ok,
+      failures,
+      Protocol.Error
+        ("update not acknowledged; unreachable shards: "
+        ^ String.concat ", " failures) )
   | [], Some msg ->
     count_error t;
     (Run.Ok, [], Protocol.Error ("update failed at " ^ msg))
@@ -528,157 +476,80 @@ let run_update t ~client_version results targets edits =
              "update version disagreement across shards (saw: %s)"
              (String.concat ", " (List.map string_of_int versions))) ))
 
-let handle ?(client_version = Protocol.version) t req : Protocol.response =
+let handle t req : Protocol.response =
   let t0 = Clock.now () in
   let deadline = Option.map (fun d -> t0 +. d) t.deadline in
   locked t (fun () -> t.requests <- t.requests + 1);
   let finish (status, unreachable, payload) =
     let seconds = Clock.now () -. t0 in
     locked t (fun () -> t.service_seconds <- t.service_seconds +. seconds);
-    let unreachable = if client_version >= 4 then unreachable else [] in
     Protocol.response ~seconds ~status ~unreachable payload
   in
-  if Protocol.request_version req > client_version then begin
+  match req with
+  | Protocol.Ping -> finish (Run.Ok, [], Protocol.Pong)
+  | Protocol.Load_store _ ->
     count_error t;
     finish
       ( Run.Ok,
         [],
         Protocol.Error
-          (Printf.sprintf
-             "request requires protocol v%d (connection negotiated v%d)"
-             (Protocol.request_version req)
-             client_version) )
-  end
-  else
-    match req with
-    | Protocol.Ping -> finish (Run.Ok, [], Protocol.Pong)
-    | Protocol.Load_store _ ->
-      count_error t;
-      finish
-        ( Run.Ok,
-          [],
-          Protocol.Error
-            "router serves a fixed shard layout; re-partition and restart \
-             the cluster to change stores" )
-    | Protocol.Stats -> finish (Run.Ok, [], Protocol.Stats_reply (stats t))
-    | Protocol.Shutdown ->
-      t.stop <- true;
-      wake_listener t;
-      finish (Run.Ok, [], Protocol.Bye)
-    | Protocol.Subscribe ->
-      finish (Run.Ok, [], Protocol.Subscribed (version t))
-    | Protocol.Progress ->
-      let targets = all_targets t in
-      let results = scatter t req ~targets ~deadline in
-      finish (Run.Ok, [], Protocol.Progress_reply (merge_progress results targets))
-    | Protocol.Cancel ->
-      let targets = all_targets t in
-      let results = scatter t req ~targets ~deadline in
-      let any =
-        List.exists
-          (fun i ->
-            match results.(i) with
-            | Some (Ok { Protocol.payload = Protocol.Cancel_ack true; _ }) ->
-              true
-            | _ -> false)
-          targets
-      in
-      finish (Run.Ok, [], Protocol.Cancel_ack any)
-    | Protocol.Update { Protocol.edits } ->
-      Mutex.lock t.update_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.update_lock)
-        (fun () ->
-          let targets = all_targets t in
-          let results = scatter t req ~targets ~deadline in
-          let ((_, _, payload) as outcome) =
-            run_update t ~client_version results targets edits
-          in
-          (match payload with
-          | Protocol.Update_reply u ->
-            push_to_subscribers t u ~seconds:(Clock.now () -. t0)
-          | _ -> ());
-          finish outcome)
-    | Protocol.Mine _ | Protocol.Lookup _ | Protocol.Contains _ ->
-      let targets =
-        match plan t req with None -> all_targets t | Some ts -> ts
-      in
-      locked t (fun () ->
-          t.contacted <- t.contacted + List.length targets;
-          t.pruned <-
-            t.pruned + (Array.length t.shards - List.length targets));
-      if targets = [] then
-        (* Nothing any shard holds can answer this: the empty pattern set,
-           with zero round trips. *)
-        finish (Run.Ok, [], Protocol.Patterns [])
-      else
+          "router serves a fixed shard layout; re-partition and restart \
+           the cluster to change stores" )
+  | Protocol.Stats -> finish (Run.Ok, [], Protocol.Stats_reply (stats t))
+  | Protocol.Shutdown -> finish (Run.Ok, [], Protocol.Bye)
+  | Protocol.Subscribe ->
+    finish (Run.Ok, [], Protocol.Subscribed (version t))
+  | Protocol.Progress ->
+    let targets = all_targets t in
+    let results = scatter t req ~targets ~deadline in
+    finish (Run.Ok, [], Protocol.Progress_reply (merge_progress results targets))
+  | Protocol.Cancel ->
+    let targets = all_targets t in
+    let results = scatter t req ~targets ~deadline in
+    let any =
+      List.exists
+        (fun i ->
+          match results.(i) with
+          | Some (Ok { Protocol.payload = Protocol.Cancel_ack true; _ }) ->
+            true
+          | _ -> false)
+        targets
+    in
+    finish (Run.Ok, [], Protocol.Cancel_ack any)
+  | Protocol.Update _ ->
+    Mutex.lock t.update_lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.update_lock)
+      (fun () ->
+        let targets = all_targets t in
         let results = scatter t req ~targets ~deadline in
-        finish (merge_query t ~client_version results targets)
+        let ((_, _, payload) as outcome) =
+          run_update t results targets
+        in
+        (match payload with
+        | Protocol.Update_reply u ->
+          Spm_server.Frontend.push t.front u ~seconds:(Clock.now () -. t0)
+        | _ -> ());
+        finish outcome)
+  | Protocol.Mine _ | Protocol.Lookup _ | Protocol.Contains _ ->
+    let targets =
+      match plan t req with None -> all_targets t | Some ts -> ts
+    in
+    locked t (fun () ->
+        t.contacted <- t.contacted + List.length targets;
+        t.pruned <-
+          t.pruned + (Array.length t.shards - List.length targets));
+    if targets = [] then
+      (* Nothing any shard holds can answer this: the empty pattern set,
+         with zero round trips. *)
+      finish (Run.Ok, [], Protocol.Patterns [])
+    else
+      let results = scatter t req ~targets ~deadline in
+      finish (merge_query t results targets)
 
 (* --- the socket surface --- *)
 
-let handle_connection t conn =
-  (try Unix.setsockopt conn TCP_NODELAY true with Unix.Unix_error _ -> ());
-  let handed_off = ref false in
-  Fun.protect
-    ~finally:(fun () ->
-      if not !handed_off then
-        try Unix.close conn with Unix.Unix_error _ -> ())
-    (fun () ->
-      match Protocol.accept_handshake conn with
-      | None -> ()
-      | Some client_version ->
-        let rec loop () =
-          match Protocol.read_frame conn with
-          | None -> ()
-          | Some frame -> (
-            match Protocol.decode_request frame with
-            | exception Codec.Corrupt msg ->
-              Protocol.write_frame conn
-                (Protocol.encode_response (Protocol.response (Error msg)))
-            | req -> (
-              let resp = handle ~client_version t req in
-              Protocol.write_frame conn (Protocol.encode_response resp);
-              match (req, resp.Protocol.payload) with
-              | Protocol.Subscribe, Protocol.Subscribed _ ->
-                Mutex.lock t.sub_lock;
-                t.subscribers <- conn :: t.subscribers;
-                Mutex.unlock t.sub_lock;
-                handed_off := true
-              | _ -> if req <> Protocol.Shutdown then loop ()))
-        in
-        (try loop () with
-        | Codec.Corrupt _ -> ()
-        | Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ()))
-
 let serve t fd =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  t.listen_addr <- Some (Unix.getsockname fd);
-  let threads = ref [] in
-  let rec accept_loop () =
-    if not t.stop then
-      match Unix.accept fd with
-      | conn, _ ->
-        if t.stop then (try Unix.close conn with Unix.Unix_error _ -> ())
-        else
-          threads :=
-            Thread.create (fun () -> handle_connection t conn) () :: !threads;
-        accept_loop ()
-      | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) ->
-        accept_loop ()
-      | exception Unix.Unix_error _ when t.stop -> ()
-  in
   Fun.protect
-    ~finally:(fun () ->
-      t.listen_addr <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      List.iter Thread.join !threads;
-      Mutex.lock t.sub_lock;
-      List.iter
-        (fun s -> try Unix.close s with Unix.Unix_error _ -> ())
-        t.subscribers;
-      t.subscribers <- [];
-      Mutex.unlock t.sub_lock;
-      close t)
-    accept_loop
+    ~finally:(fun () -> close t)
+    (fun () -> Spm_server.Frontend.serve t.front ~handle:(handle t) fd)

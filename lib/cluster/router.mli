@@ -22,11 +22,10 @@
     carves its deadline from the request's remaining budget
     ([?deadline]), and transport failures on idempotent requests
     ({!Spm_server.Protocol.cacheable}) are retried once on a fresh
-    connection after a short backoff. Shards still unreachable are
-    reported in the v4 [Partial] envelope ([unreachable]) around the merge
-    of the answers that {e did} arrive — never a malformed or silently
-    truncated response; pre-v4 clients get an [Error] naming the shards
-    instead. An [Update] is only acknowledged when {e every} shard
+    connection after a short backoff. Shards still unreachable are always
+    reported in the [Partial] envelope ([unreachable]) around the merge of
+    the answers that {e did} arrive — never a malformed or silently
+    truncated response. An [Update] is only acknowledged when {e every} shard
     committed and reports the same new version; anything less is an
     [Error] (no partial acks — a lost update leg must surface). *)
 
@@ -58,28 +57,25 @@ val pruning : t -> int * int
     plannable requests ([Lookup]/[Contains]) issued vs. avoided. The
     pushdown-effectiveness observable reported by the cluster benchmark. *)
 
-val handle : ?client_version:int -> t -> Spm_server.Protocol.request -> Spm_server.Protocol.response
+val handle : t -> Spm_server.Protocol.request -> Spm_server.Protocol.response
 (** Plan, scatter, merge one request — the full dispatch path minus the
     socket, so tests can compare router answers against
     {!Spm_server.Server.handle} in-process. Never raises: transport
-    failures become [Partial]/[Error] responses as described above.
-    [client_version] defaults to {!Spm_server.Protocol.version}; the
-    [Partial] envelope is only used at v4. *)
+    failures become [Partial]/[Error] responses as described above. An
+    acknowledged [Update] pushes the merged diff to the frontend's
+    subscribers. *)
 
 val stats : t -> Spm_server.Protocol.server_stats
 (** Router-local counters ([store_patterns] is the summary-table total
     across shards; [cache_hits] is always 0 — the router does not cache). *)
 
-val stopping : t -> bool
-(** True once a [Shutdown] request has been handled. *)
-
 val serve : t -> Unix.file_descr -> unit
-(** Accept loop over a {!Spm_server.Server.listen} socket: one thread per
-    connection, handshake at v2..v4, one response frame per request.
-    [Subscribe] connections move to a push registry that receives the
-    merged [Update_reply] per acknowledged update. Returns after
-    [Shutdown] (router-local — workers are not shut down), once every
-    connection thread has finished. *)
+(** {!Spm_server.Frontend.serve} over {!handle}, on a
+    {!Spm_server.Server.listen} socket: the same connection handling as a
+    single-process server. Returns after a [Shutdown] (router-local —
+    workers are not shut down), once every connection thread has finished,
+    idle connections included, and then drops the pooled worker
+    connections. *)
 
 val close : t -> unit
 (** Drop every pooled worker connection. [serve] does this on exit; only

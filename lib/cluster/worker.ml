@@ -1,140 +1,26 @@
 module Store = Spm_store.Store
-module Codec = Spm_store.Codec
 module Server = Spm_server.Server
-module Protocol = Spm_server.Protocol
+module Frontend = Spm_server.Frontend
 
-type t = {
-  server : Server.t;
-  name : string;
-  listen_fd : Unix.file_descr;
-  port : int;
-  lock : Mutex.t;
-  mutable conns : Unix.file_descr list;  (* live connections, under [lock] *)
-  mutable threads : Thread.t list;  (* under [lock] *)
-  mutable stopped : bool;
-  mutable accept_thread : Thread.t option;
-}
-
-let port t = t.port
-let name t = t.name
-let server t = t.server
-
-(* Half-close instead of [Unix.close]: the peer sees EOF immediately, but
-   the descriptor number stays allocated until the owning handler thread
-   unwinds — closing here could race a concurrent dial reusing the fd. *)
-let shutdown_fd fd =
-  try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-
-let track t fd =
-  Mutex.lock t.lock;
-  let admitted = not t.stopped in
-  if admitted then t.conns <- fd :: t.conns;
-  Mutex.unlock t.lock;
-  admitted
-
-let untrack t fd =
-  Mutex.lock t.lock;
-  t.conns <- List.filter (fun c -> c != fd) t.conns;
-  Mutex.unlock t.lock
-
-(* Tear down the listener and (optionally) the live connections. Runs at
-   most once; [stop]/[kill]/served-[Shutdown] all funnel through here. *)
-let teardown t ~abrupt =
-  Mutex.lock t.lock;
-  let first = not t.stopped in
-  t.stopped <- true;
-  let conns = t.conns in
-  Mutex.unlock t.lock;
-  if first then begin
-    shutdown_fd t.listen_fd;
-    if abrupt then List.iter shutdown_fd conns
-  end
-
-let handle_conn t conn =
-  (try Unix.setsockopt conn TCP_NODELAY true with Unix.Unix_error _ -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      untrack t conn;
-      try Unix.close conn with Unix.Unix_error _ -> ())
-    (fun () ->
-      match Protocol.accept_handshake conn with
-      | None -> ()
-      | Some client_version ->
-        let rec loop () =
-          match Protocol.read_frame conn with
-          | None -> ()
-          | Some frame -> (
-            match Protocol.decode_request frame with
-            | exception Codec.Corrupt msg ->
-              Protocol.write_frame conn
-                (Protocol.encode_response (Protocol.response (Error msg)))
-            | req ->
-              let resp = Server.handle ~client_version t.server req in
-              Protocol.write_frame conn (Protocol.encode_response resp);
-              if req = Protocol.Shutdown then teardown t ~abrupt:false
-              else loop ())
-        in
-        (try loop () with
-        | Codec.Corrupt _ -> ()
-        | Unix.Unix_error ((EPIPE | ECONNRESET | EBADF | ENOTCONN), _, _) -> ()))
-
-let accept_loop t =
-  let rec loop () =
-    if not t.stopped then
-      match Unix.accept t.listen_fd with
-      | conn, _ ->
-        if track t conn then begin
-          let th = Thread.create (fun () -> handle_conn t conn) () in
-          Mutex.lock t.lock;
-          t.threads <- th :: t.threads;
-          Mutex.unlock t.lock
-        end
-        else (try Unix.close conn with Unix.Unix_error _ -> ());
-        loop ()
-      | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> loop ()
-      | exception Unix.Unix_error _ -> ()
-      (* listener shut down (teardown) or otherwise dead: stop accepting *)
-  in
-  loop ();
-  try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+type t = { server : Server.t; name : string; port : int; thread : Thread.t }
 
 let start ?jobs ?cache_capacity ?mine_timeout ?(host = "127.0.0.1")
     ?(port = 0) ?path store =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   let server = Server.create ?jobs ?cache_capacity ?mine_timeout () in
   Server.set_store server ?path store;
   let name =
     Partition.shard_name
       (match store.Store.shard with Some (i, _) -> i | None -> 0)
   in
-  let listen_fd, port = Server.listen ~host ~port () in
-  let t =
-    {
-      server;
-      name;
-      listen_fd;
-      port;
-      lock = Mutex.create ();
-      conns = [];
-      threads = [];
-      stopped = false;
-      accept_thread = None;
-    }
-  in
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
-  t
+  let fd, port = Server.listen ~host ~port () in
+  { server; name; port; thread = Thread.create (Server.serve server) fd }
+
+let port t = t.port
+let name t = t.name
+let server t = t.server
 
 let stop t =
-  teardown t ~abrupt:false;
-  (* Nudge connections idle at [read_frame]: peers reading EOF close. *)
-  Mutex.lock t.lock;
-  let conns = t.conns and threads = t.threads in
-  t.threads <- [];
-  Mutex.unlock t.lock;
-  List.iter shutdown_fd conns;
-  Option.iter Thread.join t.accept_thread;
-  t.accept_thread <- None;
-  List.iter Thread.join threads
+  Frontend.stop (Server.frontend t.server);
+  Thread.join t.thread
 
-let kill t = teardown t ~abrupt:true
+let kill t = Frontend.kill (Server.frontend t.server)

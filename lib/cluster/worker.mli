@@ -1,13 +1,13 @@
-(** A shard worker: one {!Spm_server.Server} serving one shard store over
-    its own listening socket and accept loop.
+(** A shard worker: one {!Spm_server.Server} serving one shard store on
+    its own listening socket, through {!Spm_server.Server.serve} on a
+    background thread.
 
     The server side needs no cluster-specific logic — installing a shard
     store already scopes it to the owned diameter clusters
-    ({!Spm_server.Server.set_store}); what this module adds is lifecycle.
-    Unlike {!Spm_server.Server.serve}, the worker's accept loop {e tracks}
-    its live connections, so a worker can be torn down abruptly
-    ({!kill} — the failure the router's [Partial] path is tested against)
-    or gracefully ({!stop}), and restarted on the same port
+    ({!Spm_server.Server.set_store}); what this module adds is lifecycle
+    over the server's {!Spm_server.Frontend}. A worker can be torn down
+    abruptly ({!kill} — the failure the router's [Partial] path is tested
+    against) or gracefully ({!stop}), and restarted on the same port
     ([SO_REUSEADDR]) to exercise recovery. *)
 
 type t
@@ -38,11 +38,14 @@ val server : t -> Spm_server.Server.t
 (** The underlying server, for in-process inspection (stats, version). *)
 
 val stop : t -> unit
-(** Graceful teardown: stop accepting, end every connection after its
-    in-flight request, join the serving threads. Idempotent. *)
+(** Graceful teardown ({!Spm_server.Frontend.stop}): stop accepting, end
+    every connection after its in-flight request, and wait until
+    {!Spm_server.Server.serve} has returned. Idempotent, also after
+    {!kill}. *)
 
 val kill : t -> unit
-(** Abrupt teardown: shut down the listener and every live connection
-    {e now} — peers blocked on a reply see EOF immediately, exactly like a
-    crashed process. Does not wait for in-flight requests (a mine keeps
-    running until it notices its dead socket). Idempotent. *)
+(** Abrupt teardown ({!Spm_server.Frontend.kill}): shut down the listener,
+    every live connection and every subscriber {e now} — peers blocked on a
+    reply see EOF immediately, exactly like a crashed process. Does not
+    wait for in-flight requests (a mine keeps running until it notices its
+    dead socket). Idempotent. *)

@@ -3,38 +3,23 @@ module Run = Spm_engine.Run
 
 type t = {
   fd : Unix.file_descr;
-  version : int;
   mutable meta : (bool * float) option;
   mutable status : Run.status option;
   mutable unreachable : string list;
   mutable closed : bool;
 }
 
-let connect_version ~host ~port v =
+let connect ?(host = "127.0.0.1") ~port () =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  try
+  match
     Unix.connect fd (ADDR_INET (Unix.inet_addr_of_string host, port));
     (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
-    Protocol.client_handshake ~version:v fd;
-    fd
-  with e ->
+    Protocol.client_handshake fd
+  with
+  | () -> { fd; meta = None; status = None; unreachable = []; closed = false }
+  | exception e ->
     (try Unix.close fd with _ -> ());
     raise e
-
-let connect ?(host = "127.0.0.1") ~port () =
-  (* Greet with the newest version; an older server closes instead of
-     echoing an unknown greeting, so walk down one version per fresh
-     connection until one is echoed. *)
-  let rec try_version v =
-    match connect_version ~host ~port v with
-    | fd -> (fd, v)
-    | exception Codec.Corrupt _ when v > Protocol.min_version ->
-      try_version (v - 1)
-  in
-  let fd, version = try_version Protocol.version in
-  { fd; version; meta = None; status = None; unreachable = []; closed = false }
-
-let version t = t.version
 
 let close t =
   if not t.closed then begin

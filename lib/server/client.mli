@@ -5,17 +5,9 @@
 type t
 
 val connect : ?host:string -> port:int -> unit -> t
-(** TCP connect + protocol handshake. Greets with {!Protocol.version}; if
-    the server closes instead of echoing (an older server refusing an
-    unknown greeting), reconnects and greets one version lower, down to
-    {!Protocol.min_version} — so new clients keep working against old
-    servers at the newest version both sides speak.
+(** TCP connect + protocol handshake ({!Protocol.handshake}), one attempt.
     @raise Unix.Unix_error on connection failure.
-    @raise Spm_store.Codec.Corrupt if the peer is not a SkinnyServe server. *)
-
-val version : t -> int
-(** Protocol version this connection negotiated. v3-only calls ([update],
-    [subscribe]) against a v2 connection earn a server [Error]. *)
+    @raise Spm_store.Codec.Corrupt if the peer does not echo the greeting. *)
 
 val close : t -> unit
 
@@ -59,12 +51,12 @@ val cancel : t -> bool
 
 val update : t -> Spm_graph.Delta.edit list -> Protocol.update_reply
 (** Apply an edit batch as one new graph version and get back the
-    pattern-set diff the incremental repair produced (v3). *)
+    pattern-set diff the incremental repair produced. *)
 
 val subscribe : t -> int
 (** Enter subscriber mode: returns the current graph version; from then on
     this connection only receives pushed diffs — read them with
-    {!next_diff} and send nothing further (v3). *)
+    {!next_diff} and send nothing further. *)
 
 val next_diff : t -> Protocol.update_reply option
 (** Block for the next pushed diff on a subscribed connection. [None] on
@@ -81,7 +73,7 @@ val last_status : t -> Spm_engine.Run.status option
     or a concurrent [Cancel]. *)
 
 val last_unreachable : t -> string list
-(** Shards the most recent response is missing (the router's v4 [Partial]
+(** Shards the most recent response is missing (the router's [Partial]
     status) — empty for complete answers and for every response from a
     single-process server. The typed wrappers deliver partial answers
     normally; callers that must distinguish degraded responses check

@@ -2,30 +2,9 @@ module Codec = Spm_store.Codec
 module Store = Spm_store.Store
 module Run = Spm_engine.Run
 
-(* v2: response envelopes carry a run status byte, and the Progress/Cancel
-   requests observe and stop a running mine. The version bump was
-   deliberate: a v1 client would mis-decode the widened envelope.
-
-   v3: Update/Subscribe for evolving graphs. Every v2 frame layout is
-   unchanged, so v3 is negotiated (the server accepts both greetings and
-   echoes the one it got) rather than gated: a v2 client keeps working,
-   it just cannot send the v3-only verbs.
-
-   v4: the Partial response status of the sharded serving tier — status
-   byte 3 followed by the names of the unreachable shards. Requests are
-   untouched and every pre-v4 response byte sequence is unchanged, so v4 is
-   negotiated like v3 was; a router only emits Partial envelopes on
-   connections that greeted with v4 (older clients get a plain Error).
-
-   v5: the constraint-family field of Mine. A skinny Mine still encodes to
-   the v2 tag-2 bytes (so every pre-v5 request byte sequence is unchanged
-   and cache keys survive); a neighborhood Mine uses the new tag 11, which
-   only a v5 connection may carry — older servers answer it with a clean
-   protocol error rather than a mis-decode. *)
-let version = 5
-let min_version = 2
-let handshake_of_version v = Printf.sprintf "SKNYSRV%d" v
-let handshake = handshake_of_version version
+(* The greeting names the one wire version; a peer that greets otherwise
+   would misparse frames, so it is refused at connect time. *)
+let handshake = "SKNYSRV5"
 let max_frame = 64 * 1024 * 1024
 let default_port = 7707
 
@@ -59,7 +38,7 @@ type request =
   | Update of update_params
   | Subscribe
 
-(* Versioned request records with defaults: the one construction surface
+(* Request records with defaults: the one construction surface
    for params records, so future fields extend these constructors instead
    of every call site. *)
 let mine_params ?(closed_growth = false)
@@ -70,13 +49,6 @@ let lookup_params ?min_support ?max_support ?length ?labels () =
   { min_support; max_support; length; labels }
 
 let update_params edits = { edits }
-
-let request_version = function
-  | Mine { family = Spm_core.Constraints.Neighborhood _; _ } -> 5
-  | Ping | Load_store _ | Mine _ | Lookup _ | Contains _ | Stats | Shutdown
-  | Progress | Cancel ->
-    2
-  | Update _ | Subscribe -> 3
 
 type server_stats = {
   requests : int;
@@ -120,10 +92,10 @@ type response = {
   seconds : float;
   status : Run.status;
   unreachable : string list;
-      (* v4: shards that could not contribute to this answer (the router's
+      (* Shards that could not contribute to this answer (the router's
          Partial status). Empty everywhere else — and the empty list encodes
-         to the plain pre-v4 status byte, so full answers are byte-identical
-         to a single-process server's. *)
+         to the plain status byte, so full answers are byte-identical to a
+         single-process server's. *)
   payload : payload;
 }
 
@@ -161,7 +133,7 @@ let encode_request req =
         closed_growth;
         family = Spm_core.Constraints.Neighborhood { center };
       } ->
-    (* v5: the neighborhood Mine. [delta] carries the radius r and [l] is 0
+    (* The neighborhood Mine. [delta] carries the radius r and [l] is 0
        by construction; both still travel so the codec stays symmetric. *)
     Codec.W.byte w 11;
     Codec.W.uint w l;
@@ -312,10 +284,9 @@ let encode_response resp =
   let w = Codec.W.create () in
   Codec.W.bool w resp.cache_hit;
   Codec.W.float w resp.seconds;
-  (* Status byte 3 (v4) is "Partial": an Ok answer missing the named
-     shards' contributions, the shard list spliced in before the payload.
-     An empty list uses the plain status byte, keeping every pre-v4
-     response encoding unchanged. *)
+  (* Status byte 3 is "Partial": an Ok answer missing the named shards'
+     contributions, the shard list spliced in before the payload. An empty
+     list uses the plain status byte. *)
   (match resp.unreachable with
   | [] -> Codec.W.byte w (status_byte resp.status)
   | shards ->
@@ -367,39 +338,20 @@ let really_read fd n =
   in
   go 0
 
-(* Negotiation: the client greets with the newest version it speaks; the
-   server echoes any greeting in [min_version, version] verbatim and
-   remembers the agreed version for the connection. An old server closes on
-   an unknown greeting, so a v3 client that gets no echo reconnects and
-   greets with v2 ({!Client.connect} does this). *)
+(* The server echoes the one greeting it speaks and closes on anything
+   else, without an echo. *)
 let accept_handshake fd =
-  let rec find v =
-    if v < min_version then None
-    else Some (v, handshake_of_version v)
-  and accept got v =
-    match find v with
-    | None -> None
-    | Some (v, hs) ->
-      if String.equal got hs then begin
-        really_write fd hs;
-        Some v
-      end
-      else accept got (v - 1)
-  in
   match really_read fd (String.length handshake) with
-  | Some got -> accept got version
-  | None -> None
-  | exception Codec.Corrupt _ -> None
+  | Some got when String.equal got handshake ->
+    really_write fd handshake;
+    true
+  | Some _ | None -> false
+  | exception Codec.Corrupt _ -> false
 
-let client_handshake ?(version = version) fd =
-  if version < min_version then
-    invalid_arg
-      (Printf.sprintf "Protocol.client_handshake: version %d below %d" version
-         min_version);
-  let hs = handshake_of_version version in
-  really_write fd hs;
-  match really_read fd (String.length hs) with
-  | Some got when String.equal got hs -> ()
+let client_handshake fd =
+  really_write fd handshake;
+  match really_read fd (String.length handshake) with
+  | Some got when String.equal got handshake -> ()
   | Some got -> raise (Codec.Corrupt (Printf.sprintf "bad handshake echo %S" got))
   | None -> raise (Codec.Corrupt "server closed the connection during handshake")
 

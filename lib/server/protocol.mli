@@ -1,13 +1,11 @@
 (** The SkinnyServe wire protocol: length-prefixed binary frames over TCP.
 
-    Connection: after connect, the client sends an 8-byte greeting naming
-    the newest protocol version it speaks ({!handshake_of_version}); the
-    server echoes any greeting it supports and the trailing digit becomes
-    the connection's negotiated version. A mismatch (v1 client, stray
-    scanner) closes the connection. Then each request is one frame and earns
-    exactly one response frame — except [Subscribe], after which the server
-    additionally pushes one unsolicited [Update_reply] frame per committed
-    graph version.
+    Connection: after connect, the client sends the 8-byte {!handshake}
+    and the server echoes it. Any other greeting (an older client, a stray
+    scanner) closes the connection without an echo. Then each request is
+    one frame and earns exactly one response frame — except [Subscribe],
+    after which the server additionally pushes one unsolicited
+    [Update_reply] frame per committed graph version.
 
     Frame: 4-byte big-endian payload length, then the payload — a
     {!Spm_store.Codec} encoding of a {!request} or {!response}. Payloads
@@ -18,25 +16,8 @@
     observe per-request latency, LRU effectiveness and deadline truncation
     without a separate stats round trip. *)
 
-val version : int
-(** Newest protocol version this build speaks (5). v2 widened the response
-    envelope with a status byte and added [Progress]/[Cancel]; v3 added
-    [Update]/[Subscribe] for evolving graphs; v4 added the [Partial]
-    response status of the sharded serving tier (status byte 3 followed by
-    the unreachable shard names); v5 added the constraint-family field of
-    [Mine] (skinny Mines keep the v2 tag-2 bytes, neighborhood Mines use a
-    new tag). Each extension leaves every earlier frame layout unchanged, so
-    newer versions are negotiated rather than gated. *)
-
-val min_version : int
-(** Oldest version still accepted at the handshake (2). v1 peers would
-    mis-decode the widened envelope and are refused. *)
-
-val handshake_of_version : int -> string
-(** ["SKNYSRV<v>"] — the 8-byte greeting for version [v]. *)
-
 val handshake : string
-(** [handshake_of_version version]. *)
+(** ["SKNYSRV5"], the greeting of the one wire version. *)
 
 val max_frame : int
 (** Upper bound on accepted payload sizes (64 MiB). *)
@@ -51,9 +32,9 @@ type mine_params = {
   sigma : int;
   closed_growth : bool;
   family : Spm_core.Constraints.family;
-      (** v5. Which constraint family to mine; [Skinny] requests encode to
-          the exact pre-v5 bytes, [Neighborhood] requests need a v5
-          connection ([l] must be 0, [delta] carries the radius r). *)
+      (** Which constraint family to mine. [Skinny] requests keep request
+          tag 2; [Neighborhood] requests use tag 11 ([l] must be 0, [delta]
+          carries the radius r). *)
 }
 
 type lookup_params = {
@@ -85,12 +66,12 @@ type request =
           answers its own client with [status = Cancelled] and whatever
           partial patterns it had. Acknowledged with [Cancel_ack]. *)
   | Update of update_params
-      (** v3. Apply an edit batch to the resident graph as one new version
+      (** Apply an edit batch to the resident graph as one new version
           and repair the resident pattern set incrementally
           ({!Spm_core.Incremental}). Answered with [Update_reply]; the same
           diff is pushed to every subscriber. *)
   | Subscribe
-      (** v3. Answered with [Subscribed current_version]; the connection
+      (** Answered with [Subscribed current_version]; the connection
           then receives one pushed [Update_reply] frame per subsequent
           committed version and must not send further requests. *)
 
@@ -119,12 +100,6 @@ val lookup_params :
 (** Omitted filters match everything. *)
 
 val update_params : Spm_graph.Delta.edit list -> update_params
-
-val request_version : request -> int
-(** Oldest protocol version that can carry this request — a neighborhood
-    [Mine] needs 5, [Update] and [Subscribe] need 3, everything else 2.
-    Servers reject requests whose [request_version] exceeds the connection's
-    negotiated version. *)
 
 type server_stats = {
   requests : int;
@@ -160,8 +135,8 @@ type payload =
   | Error of string
   | Progress_reply of mine_progress
   | Cancel_ack of bool  (** was a mine actually running? *)
-  | Update_reply of update_reply  (** v3 *)
-  | Subscribed of int  (** v3; current graph version *)
+  | Update_reply of update_reply
+  | Subscribed of int  (** current graph version *)
 
 type response = {
   cache_hit : bool;
@@ -171,12 +146,11 @@ type response = {
           per-request mine deadline ([Timeout]) or a [Cancel] ([Cancelled]);
           [Patterns] then holds the partial results *)
   unreachable : string list;
-      (** v4 [Partial] status: shards that could not contribute to this
+      (** [Partial] status: shards that could not contribute to this
           answer (worker down or past its deadline) — the router's degraded
           -but-well-formed response. Always empty from a single-process
           server, and an empty list encodes to the plain status byte, so
-          full answers are byte-identical across the two tiers. Only sent
-          on connections that negotiated v4. *)
+          full answers are byte-identical across the two tiers. *)
   payload : payload;
 }
 
@@ -210,18 +184,13 @@ val cacheable : request -> bool
 
 (** {1 Handshake} *)
 
-val accept_handshake : Unix.file_descr -> int option
-(** Server side: read 8 bytes, match against every supported greeting
-    ([min_version] … [version]), echo the matched greeting back and return
-    the negotiated version. [None] (no echo) on mismatch or early EOF. *)
+val accept_handshake : Unix.file_descr -> bool
+(** Server side: read 8 bytes and, if they are {!handshake}, echo it and
+    return [true]. [false] (no echo) on any other greeting or early EOF. *)
 
-val client_handshake : ?version:int -> Unix.file_descr -> unit
-(** Client side: send [handshake_of_version version] (default {!version}),
-    read the echo. A pre-v3 server closes instead of echoing an unknown
-    greeting, so clients retry the handshake with an older [version] on a
-    fresh connection ({!Client.connect} automates this).
-    @raise Spm_store.Codec.Corrupt if the server does not echo it.
-    @raise Invalid_argument if [version < min_version]. *)
+val client_handshake : Unix.file_descr -> unit
+(** Client side: send {!handshake} and read the echo.
+    @raise Spm_store.Codec.Corrupt if the server does not echo it. *)
 
 (** {1 Framing} *)
 

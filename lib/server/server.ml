@@ -43,18 +43,15 @@ type t = {
          shard identity: a shard worker serves (and repairs, and mines)
          only the diameter clusters its shard owns. [None] for ordinary
          stores — behaviour is then exactly the unsharded server's. *)
-  sub_lock : Mutex.t;
-  mutable subscribers : Unix.file_descr list;
-      (* Connections handed off by [Subscribe]; each gets one pushed
-         [Update_reply] frame per committed version. Under [sub_lock] only
-         — pushes write to sockets and must not hold [lock]. *)
+  front : Frontend.t;
+      (* Connections and subscribers; each committed [Update] is pushed
+         through it. *)
   mutable requests : int;
   mutable cache_hits : int;
   mutable errors : int;
   mutable service_seconds : float;
   started : float;
   mutable stop : bool;
-  mutable listen_addr : Unix.sockaddr option;
 }
 
 let create ?(jobs = 1) ?(cache_capacity = 128) ?mine_timeout
@@ -74,19 +71,18 @@ let create ?(jobs = 1) ?(cache_capacity = 128) ?mine_timeout
     version = 0;
     live = None;
     scope = None;
-    sub_lock = Mutex.create ();
-    subscribers = [];
+    front = Frontend.create ();
     requests = 0;
     cache_hits = 0;
     errors = 0;
     service_seconds = 0.0;
     started = Clock.now ();
     stop = false;
-    listen_addr = None;
   }
 
 let jobs t = t.jobs
 let mine_timeout t = t.mine_timeout
+let frontend t = t.front
 
 let locked t f =
   Mutex.lock t.lock;
@@ -191,18 +187,6 @@ let stats t = locked t (fun () -> stats_unlocked t)
 let with_jobs_pool jobs f =
   if jobs <= 1 then f Pool.serial else Pool.with_pool ~jobs f
 
-(* Wake the accept loop after [Shutdown]: a throwaway connection to our own
-   listening address makes the blocked [accept] return, and the loop then
-   observes [t.stop]. *)
-let wake_listener t =
-  match t.listen_addr with
-  | None -> ()
-  | Some addr -> (
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    match Unix.connect fd addr with
-    | () -> Unix.close fd
-    | exception Unix.Unix_error _ -> ( try Unix.close fd with _ -> ()))
-
 (* Dispatch outcome of the state-locked phase: everything except an actual
    mine or an incremental update completes in there. *)
 type dispatch =
@@ -263,10 +247,9 @@ let dispatch_unlocked t req : dispatch =
   | Stats -> Done (Run.Ok, Stats_reply (stats_unlocked t))
   | Shutdown ->
     t.stop <- true;
-    (* Stop an in-flight mine too, so [serve] can join its connection
+    (* Stop an in-flight mine too, so [serve] can wait for its connection
        thread promptly instead of waiting out the full search. *)
     Option.iter Run.cancel t.current;
-    wake_listener t;
     Done (Run.Ok, Bye)
   | Progress -> (
     match t.current with
@@ -347,26 +330,6 @@ let run_mine t { Protocol.l; delta; sigma; closed_growth; family } g =
   in
   (r.Skinny_mine.stats.Skinny_mine.status, Protocol.Patterns patterns)
 
-let push_to_subscribers t (u : Protocol.update_reply) ~seconds =
-  let frame =
-    Protocol.encode_response
-      (Protocol.response ~seconds (Protocol.Update_reply u))
-  in
-  Mutex.lock t.sub_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.sub_lock)
-    (fun () ->
-      t.subscribers <-
-        List.filter
-          (fun fd ->
-            match Protocol.write_frame fd frame with
-            | () -> true
-            | exception (Unix.Unix_error _ | Codec.Corrupt _) ->
-              (* Subscriber gone: drop it; the rest still get the push. *)
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              false)
-          t.subscribers)
-
 (* An incremental update, outside the state lock and serialized with mines
    by [mine_lock]: cluster repair fans out across the same domain pool. *)
 let run_update t edits =
@@ -413,7 +376,7 @@ let run_update t edits =
           clusters = diff.Incremental.total_clusters;
         }
       in
-      push_to_subscribers t reply ~seconds:diff.Incremental.seconds;
+      Frontend.push t.front reply ~seconds:diff.Incremental.seconds;
       match t.store_path with
       | None -> (Run.Ok, Protocol.Update_reply reply)
       | Some path -> (
@@ -436,122 +399,97 @@ let classify_error = function
     Some (Printf.sprintf "%s: %s" fn (Unix.error_message e))
   | _ -> None
 
-let handle ?(client_version = Protocol.version) t req : Protocol.response =
+let handle t req : Protocol.response =
   let t0 = Clock.now () in
-  if Protocol.request_version req > client_version then begin
-    (* v3-only verb on a v2 connection: refuse without dispatching. *)
+  let req_bytes =
+    if Protocol.cacheable req then Some (Protocol.encode_request req)
+    else None
+  in
+  let finish ~key ~cache_hit (status, payload) =
+    locked t (fun () ->
+        (match (key, payload) with
+        | ( Some k,
+            Protocol.(Pong | Loaded _ | Patterns _ | Stats_reply _ | Bye) )
+          when (not cache_hit) && status = Run.Ok ->
+          (* Only complete answers are cacheable: a Timeout/Cancelled
+             [Patterns] is a prefix, and a retry deserves a fresh
+             attempt. *)
+          Lru.add t.cache k payload
+        | _, _ -> ());
+        let seconds = Clock.now () -. t0 in
+        t.service_seconds <- t.service_seconds +. seconds;
+        Protocol.response ~cache_hit ~seconds ~status payload)
+  in
+  (* Phase 1, under the state lock: cache probe plus every request except
+     an actual mine or update. The cache key is the graph version plus
+     the request bytes — version-keying is what makes an [Update] safe
+     against the cache: an answer computed at version v is only ever
+     findable at version v (the stale entries just age out of the
+     LRU). *)
+  let phase1 =
     locked t (fun () ->
         t.requests <- t.requests + 1;
-        t.errors <- t.errors + 1);
-    Protocol.response
-      ~seconds:(Clock.now () -. t0)
-      (Protocol.Error
-         (Printf.sprintf
-            "request requires protocol v%d (connection negotiated v%d)"
-            (Protocol.request_version req)
-            client_version))
-  end
-  else begin
-    let req_bytes =
-      if Protocol.cacheable req then Some (Protocol.encode_request req)
-      else None
-    in
-    let finish ~key ~cache_hit (status, payload) =
-      locked t (fun () ->
-          (match (key, payload) with
-          | ( Some k,
-              Protocol.(Pong | Loaded _ | Patterns _ | Stats_reply _ | Bye) )
-            when (not cache_hit) && status = Run.Ok ->
-            (* Only complete answers are cacheable: a Timeout/Cancelled
-               [Patterns] is a prefix, and a retry deserves a fresh
-               attempt. *)
-            Lru.add t.cache k payload
-          | _, _ -> ());
-          let seconds = Clock.now () -. t0 in
-          t.service_seconds <- t.service_seconds +. seconds;
-          Protocol.response ~cache_hit ~seconds ~status payload)
-    in
-    (* Phase 1, under the state lock: cache probe plus every request except
-       an actual mine or update. The cache key is the graph version plus
-       the request bytes — version-keying is what makes an [Update] safe
-       against the cache: an answer computed at version v is only ever
-       findable at version v (the stale entries just age out of the
-       LRU). *)
-    let phase1 =
-      locked t (fun () ->
-          t.requests <- t.requests + 1;
-          let key =
-            Option.map
-              (fun k -> Printf.sprintf "v%d:%s" t.version k)
-              req_bytes
-          in
-          match Option.bind key (Lru.find t.cache) with
-          | Some payload ->
-            t.cache_hits <- t.cache_hits + 1;
-            `Hit payload
-          | None -> (
-            match dispatch_unlocked t req with
-            | Done (status, payload) -> `Done (key, (status, payload))
-            | Need_mine (params, g) -> `Mine (key, params, g)
-            | Need_update edits -> `Update edits
-            | exception e -> (
-              match classify_error e with
-              | Some msg ->
-                t.errors <- t.errors + 1;
-                `Done (key, (Run.Ok, Protocol.Error msg))
-              | None -> raise e)))
-    in
-    let guarded ~key f =
-      Mutex.lock t.mine_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.mine_lock)
-        (fun () ->
-          let result =
-            match f () with
-            | result -> result
-            | exception e -> (
-              match classify_error e with
-              | Some msg ->
-                locked t (fun () -> t.errors <- t.errors + 1);
-                (Run.Ok, Protocol.Error msg)
-              | None -> raise e)
-          in
-          finish ~key ~cache_hit:false result)
-    in
-    match phase1 with
-    | `Hit payload -> finish ~key:None ~cache_hit:true (Run.Ok, payload)
-    | `Done (key, result) -> finish ~key ~cache_hit:false result
-    | `Mine (key, params, g) ->
-      Mutex.lock t.mine_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.mine_lock)
-        (fun () ->
-          (* Another request may have mined and cached the same parameters
-             while we waited for the mine lock. *)
-          let recheck =
-            locked t (fun () ->
-                match Option.bind key (Lru.find t.cache) with
-                | Some payload ->
-                  t.cache_hits <- t.cache_hits + 1;
-                  Some payload
-                | None -> None)
-          in
-          match recheck with
-          | Some payload -> finish ~key:None ~cache_hit:true (Run.Ok, payload)
-          | None ->
-            let result =
-              match run_mine t params g with
-              | result -> result
-              | exception e -> (
-                match classify_error e with
-                | Some msg ->
-                  locked t (fun () -> t.errors <- t.errors + 1);
-                  (Run.Ok, Protocol.Error msg)
-                | None -> raise e)
-            in
-            finish ~key ~cache_hit:false result)
-    | `Update edits -> guarded ~key:None (fun () -> run_update t edits)
-  end
+        let key =
+          Option.map
+            (fun k -> Printf.sprintf "v%d:%s" t.version k)
+            req_bytes
+        in
+        match Option.bind key (Lru.find t.cache) with
+        | Some payload ->
+          t.cache_hits <- t.cache_hits + 1;
+          `Hit payload
+        | None -> (
+          match dispatch_unlocked t req with
+          | Done (status, payload) -> `Done (key, (status, payload))
+          | Need_mine (params, g) -> `Mine (key, params, g)
+          | Need_update edits -> `Update edits
+          | exception e -> (
+            match classify_error e with
+            | Some msg ->
+              t.errors <- t.errors + 1;
+              `Done (key, (Run.Ok, Protocol.Error msg))
+            | None -> raise e)))
+  in
+  (* Mines and updates run outside the state lock, serialized by
+     [mine_lock]. *)
+  let with_mine_lock f =
+    Mutex.lock t.mine_lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.mine_lock) f
+  in
+  let or_error f =
+    match f () with
+    | result -> result
+    | exception e -> (
+      match classify_error e with
+      | Some msg ->
+        locked t (fun () -> t.errors <- t.errors + 1);
+        (Run.Ok, Protocol.Error msg)
+      | None -> raise e)
+  in
+  match phase1 with
+  | `Hit payload -> finish ~key:None ~cache_hit:true (Run.Ok, payload)
+  | `Done (key, result) -> finish ~key ~cache_hit:false result
+  | `Mine (key, params, g) ->
+    with_mine_lock (fun () ->
+        (* Another request may have mined and cached the same parameters
+           while we waited for the mine lock. *)
+        let recheck =
+          locked t (fun () ->
+              match Option.bind key (Lru.find t.cache) with
+              | Some payload ->
+                t.cache_hits <- t.cache_hits + 1;
+                Some payload
+              | None -> None)
+        in
+        match recheck with
+        | Some payload -> finish ~key:None ~cache_hit:true (Run.Ok, payload)
+        | None ->
+          finish ~key ~cache_hit:false
+            (or_error (fun () -> run_mine t params g)))
+  | `Update edits ->
+    with_mine_lock (fun () ->
+        finish ~key:None ~cache_hit:false
+          (or_error (fun () -> run_update t edits)))
 
 (* --- the socket surface --- *)
 
@@ -570,82 +508,4 @@ let listen ?(host = "127.0.0.1") ~port () =
   in
   (fd, actual_port)
 
-let handle_connection t conn =
-  (try Unix.setsockopt conn TCP_NODELAY true with Unix.Unix_error _ -> ());
-  (* A [Subscribe] hands the socket over to the push registry: this thread
-     exits without closing it, and the fd dies with the registry (push
-     failure or shutdown). *)
-  let handed_off = ref false in
-  Fun.protect
-    ~finally:(fun () ->
-      if not !handed_off then
-        try Unix.close conn with Unix.Unix_error _ -> ())
-    (fun () ->
-      match Protocol.accept_handshake conn with
-      | None -> ()
-      | Some client_version ->
-        let rec loop () =
-          match Protocol.read_frame conn with
-          | None -> ()
-          | Some frame ->
-            let req =
-              try Ok (Protocol.decode_request frame)
-              with Codec.Corrupt msg -> Error msg
-            in
-            (match req with
-            | Error msg ->
-              (* Undecodable request: report and drop the connection — the
-                 stream offset can no longer be trusted. *)
-              Protocol.write_frame conn
-                (Protocol.encode_response (Protocol.response (Error msg)))
-            | Ok req -> (
-              let resp = handle ~client_version t req in
-              Protocol.write_frame conn (Protocol.encode_response resp);
-              match (req, resp.Protocol.payload) with
-              | Protocol.Subscribe, Protocol.Subscribed _ ->
-                Mutex.lock t.sub_lock;
-                t.subscribers <- conn :: t.subscribers;
-                Mutex.unlock t.sub_lock;
-                handed_off := true
-              | _ ->
-                (* A served [Shutdown] ends this connection too. *)
-                if req <> Protocol.Shutdown then loop ()))
-        in
-        try loop () with
-        | Codec.Corrupt _ -> ()
-        | Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ())
-
-let serve t fd =
-  (* A client that disconnects mid-reply must not kill the process: turn
-     SIGPIPE into EPIPE from [write], which [handle_connection] absorbs. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  t.listen_addr <- Some (Unix.getsockname fd);
-  let threads = ref [] in
-  let rec accept_loop () =
-    if not t.stop then
-      match Unix.accept fd with
-      | conn, _ ->
-        if t.stop then (try Unix.close conn with Unix.Unix_error _ -> ())
-        else
-          threads :=
-            Thread.create (fun () -> handle_connection t conn) () :: !threads;
-        accept_loop ()
-      | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) ->
-        accept_loop ()
-      | exception Unix.Unix_error _ when t.stop -> ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      t.listen_addr <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      List.iter Thread.join !threads;
-      (* Orderly close of every subscriber: they read EOF and know the
-         stream of diffs is over. *)
-      Mutex.lock t.sub_lock;
-      List.iter
-        (fun s -> try Unix.close s with Unix.Unix_error _ -> ())
-        t.subscribers;
-      t.subscribers <- [];
-      Mutex.unlock t.sub_lock)
-    accept_loop
+let serve t fd = Frontend.serve t.front ~handle:(handle t) fd

@@ -2,8 +2,8 @@
 
     One server owns a resident pattern store (graph + mined set + the
     {!Sig_index} planner index over it), an LRU response cache keyed by the
-    graph version plus the encoded request bytes, and running counters. The
-    accept loop handles each connection on its own thread. Short requests
+    graph version plus the encoded request bytes, and running counters.
+    Connections are served by a {!Frontend}, one thread each. Short requests
     are serialized by a state lock; actual mining — full [Mine]s and
     incremental [Update] repairs — runs outside it under a separate mine
     lock (mining already fans out across domains via {!Spm_engine.Pool}, so
@@ -11,15 +11,15 @@
     [Progress]/[Cancel] and planner queries responsive while one is in
     flight.
 
-    {b Evolving graphs} (protocol v3): an [Update] request applies an edit
+    {b Evolving graphs}: an [Update] request applies an edit
     batch as one new graph version, repairs the resident pattern set with
     {!Spm_core.Incremental} (only the diameter clusters whose
     δ-neighborhoods the edits touched are re-grown), rebuilds the planner
     index, and appends the batch to the resident store's mutation journal —
     persisted back to the store's path when there is one, so a restarted
     server replays the journal and resumes at the latest version.
-    [Subscribe] hands its connection to a push registry that receives one
-    [Update_reply] frame per committed version. Cache entries are keyed by
+    [Subscribe] hands its connection to the frontend's subscriber registry,
+    which receives one [Update_reply] frame per committed version. Cache entries are keyed by
     version, so an update can never serve a pre-update answer.
 
     Each mine or update executes under a fresh {!Spm_engine.Run} context.
@@ -80,15 +80,14 @@ val version : t -> int
 (** Current graph version: the loaded store's latest version, +1 per
     committed [Update]. *)
 
-val handle : ?client_version:int -> t -> Protocol.request -> Protocol.response
+val handle : t -> Protocol.request -> Protocol.response
 (** Dispatch one request: LRU lookup for {!Protocol.cacheable} requests,
     then the query planner ({!Sig_index}), the miner, or the incremental
     repairer. Never raises — failures become [Error] payloads and count in
-    [stats.errors]. [client_version] (default {!Protocol.version}) is the
-    connection's negotiated protocol version; requests whose
-    {!Protocol.request_version} exceeds it are refused with an [Error].
-    An in-process [Subscribe] returns [Subscribed] but registers nothing —
-    push delivery needs the socket surface ({!serve}). *)
+    [stats.errors]. A committed [Update] is pushed to the frontend's
+    subscribers. An in-process [Subscribe] returns [Subscribed] but
+    registers nothing — push delivery needs the socket surface
+    ({!serve}). *)
 
 val stats : t -> Protocol.server_stats
 
@@ -100,11 +99,11 @@ val listen : ?host:string -> port:int -> unit -> Unix.file_descr * int
     ephemeral port — how the tests and benchmarks avoid collisions). *)
 
 val serve : t -> Unix.file_descr -> unit
-(** Accept loop: one thread per connection, each running
-    handshake/read/dispatch/reply until EOF — except subscribers, whose
-    sockets move to the push registry and receive one frame per committed
-    update. Ignores [SIGPIPE] for the process, so a client that disconnects
-    mid-reply surfaces as [EPIPE] on that connection's thread instead of
-    killing the server. Returns after a [Shutdown] request (which also
-    cancels any in-flight mine), once every connection thread has finished;
-    subscriber sockets are closed on exit (subscribers read EOF). *)
+(** {!Frontend.serve} over {!handle}: one thread per connection until the
+    frontend stops. A [Shutdown] request (which also cancels any in-flight
+    mine) stops it gracefully: [serve] returns once every connection thread
+    has finished, idle connections included, and subscribers read EOF. *)
+
+val frontend : t -> Frontend.t
+(** The frontend {!serve} runs, for stopping it from outside
+    ({!Frontend.stop}, {!Frontend.kill}). *)

@@ -56,8 +56,9 @@ val containment_candidates :
   t -> Spm_graph.Graph.t -> Spm_core.Skinny_mine.mined list
 (** Patterns that could embed in the given graph: vertex/edge counts no
     larger than the target's and label signature dominated by the target's
-    label frequencies. Everything returned still needs a {!Subiso} check;
-    everything pruned is definitely absent. *)
+    label frequencies. Everything returned still needs a
+    {!Spm_pattern.Plan.exists} check; everything pruned is definitely
+    absent. *)
 
 val contained_in :
   ?pool:Spm_engine.Pool.t ->

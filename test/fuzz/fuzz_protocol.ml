@@ -115,6 +115,9 @@ let raw_frame_header len =
 let bad_handshakes =
   [
     ("v1 peer", "SKNYSRV1");
+    ("v2 peer", "SKNYSRV2");
+    ("v3 peer", "SKNYSRV3");
+    ("v4 peer", "SKNYSRV4");
     ("http", "GET / HT");
     ("zeros", String.make 8 '\000');
     ("all-ff", String.make 8 '\xff');
@@ -199,9 +202,9 @@ let test_mutated_requests with_target () =
           labels = None;
         };
       Protocol.Contains (graph ());
-      (* Skinny Mine keeps the v2 tag-2 encoding; neighborhood Mine is the
-         v5 tag-11 request — mutate both so the versioned decode path and
-         the router's family dispatch face damaged bytes too. *)
+      (* Skinny Mine keeps the tag-2 encoding; neighborhood Mine is the
+         tag-11 request — mutate both so the family decode path and the
+         router's family dispatch face damaged bytes too. *)
       Protocol.Mine (Protocol.mine_params ~l:2 ~delta:1 ~sigma:1 ());
       Protocol.Mine
         (Protocol.mine_params

@@ -79,7 +79,8 @@ let test_spider_mine_runs () =
     (fun (p, sup) ->
       check_bool "frequent" true (sup >= 2);
       check_bool "within d_max" true (Bfs.diameter p <= 4);
-      check_bool "really embeds" true (Subiso.exists ~pattern:p ~target:g))
+      check_bool "really embeds" true
+        (Plan.exists (Plan.compile ~freq:(Graph.label_freq g) p) ~target:g))
     r.Spider_mine.patterns
 
 let test_spider_mine_misses_long_skinny () =

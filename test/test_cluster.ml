@@ -401,17 +401,6 @@ let test_worker_kill_partial_and_recovery () =
       in
       check_str "partial payload = reachable restriction" (render owned_by_0)
         (render (patterns_of resp));
-      (* Pre-v4 clients cannot carry Partial: they get an Error naming the
-         shard instead of a silently truncated answer. *)
-      (match (Router.handle ~client_version:3 c.router req).Protocol.payload with
-      | Protocol.Error msg ->
-        check_bool "v3 degradation names the shard" true
-          (let n = String.length msg in
-           let rec scan i =
-             i + 6 <= n && (String.sub msg i 6 = "shard1" || scan (i + 1))
-           in
-           scan 0)
-      | _ -> Alcotest.fail "expected Error for a v3 partial answer");
       (* The router itself stays live. *)
       check_bool "router still answers" true
         ((Router.handle c.router Protocol.Ping).Protocol.payload
@@ -491,7 +480,6 @@ let test_router_over_the_wire () =
             c.manifest.Partition.version
             (Client.subscribe subscriber);
           Client.with_connection ~port (fun cl ->
-              check "negotiated newest" Protocol.version (Client.version cl);
               let routed =
                 Client.mine cl (Protocol.mine_params ~l:4 ~delta:2 ~sigma:2 ())
               in
@@ -526,6 +514,65 @@ let test_router_over_the_wire () =
               Client.shutdown cl);
           Client.close subscriber))
 
+(* [Router.serve] returns after a [Shutdown] although another client still
+   holds an idle connection to the router. *)
+let test_router_shutdown_with_idle_connection () =
+  with_cluster ~shards:2 (fun c ->
+      let lfd, port = Server.listen ~port:0 () in
+      let returned = Atomic.make false in
+      let th =
+        Thread.create
+          (fun () ->
+            Router.serve c.router lfd;
+            Atomic.set returned true)
+          ()
+      in
+      let idle = Client.connect ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.close idle)
+        (fun () ->
+          Client.ping idle;
+          Client.with_connection ~port Client.shutdown;
+          check_bool "serve returned within 5 s, idle connection still open"
+            true
+            (Testutil.within ~seconds:5.0 (fun () -> Atomic.get returned));
+          Thread.join th))
+
+(* A client subscribed directly to a shard worker is pushed the diff that
+   worker commits, as a subscriber of a single-process server is. *)
+let test_worker_pushes_to_subscribers () =
+  with_cluster ~shards:2 (fun c ->
+      let g, _ = Lazy.force corpus in
+      let u, v = fresh_edge g in
+      let w = c.workers.(0) in
+      let port = Worker.port w in
+      let subscriber = Client.connect ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.close subscriber)
+        (fun () ->
+          check "subscribed at the shard's version"
+            (Server.version (Worker.server w))
+            (Client.subscribe subscriber);
+          let pushed = Atomic.make None in
+          let _reader : Thread.t =
+            Thread.create
+              (fun () -> Atomic.set pushed (Some (Client.next_diff subscriber)))
+              ()
+          in
+          let reply =
+            Client.with_connection ~port (fun cl ->
+                Client.update cl [ Delta.Add_edge (u, v) ])
+          in
+          check "worker committed v1" 1 reply.Protocol.new_version;
+          check_bool "a push arrived within 2 s" true
+            (Testutil.within ~seconds:2.0 (fun () ->
+                 Option.is_some (Atomic.get pushed)));
+          match Atomic.get pushed with
+          | Some (Some diff) ->
+            check_str "pushed diff = committed diff" (render_diff reply)
+              (render_diff diff)
+          | Some None | None -> Alcotest.fail "subscriber stream ended early"))
+
 let () =
   Alcotest.run "cluster"
     [
@@ -559,5 +606,9 @@ let () =
         [
           Alcotest.test_case "served router + subscriber" `Quick
             test_router_over_the_wire;
+          Alcotest.test_case "shutdown with an idle connection open" `Quick
+            test_router_shutdown_with_idle_connection;
+          Alcotest.test_case "worker pushes to its subscribers" `Quick
+            test_worker_pushes_to_subscribers;
         ] );
     ]

@@ -160,7 +160,9 @@ let test_closed_growth_transactions () =
   in
   check_bool "injected found closed" true
     (List.exists
-       (fun m -> Subiso.exists ~pattern:pat ~target:m.Skinny_mine.pattern)
+       (fun m ->
+         let target = m.Skinny_mine.pattern in
+         Plan.exists (Plan.compile ~freq:(Graph.label_freq target) pat) ~target)
        r.Skinny_mine.patterns)
 
 (* --- IO extras --- *)

@@ -85,7 +85,10 @@ let test_gspan_completeness_vs_brute_force () =
         (fun k p acc ->
           let support =
             List.fold_left
-              (fun c g -> if Subiso.exists ~pattern:p ~target:g then c + 1 else c)
+              (fun c g ->
+                if Plan.exists (Plan.compile ~freq:(Graph.label_freq g) p) ~target:g
+                then c + 1
+                else c)
               0 db
           in
           if support >= sigma then k :: acc else acc)

@@ -32,7 +32,12 @@ let test_extensions () =
     (Invalid_argument "Pattern.extend_close_edge: edge exists") (fun () ->
       ignore (Pattern.extend_close_edge p 0 1))
 
-(* --- Subiso --- *)
+(* --- Subgraph isomorphism through plans --- *)
+
+(* A plan compiled against [target]'s label frequencies: the one-shot way
+   to ask for mappings of [pattern] in [target]. *)
+let plan_for pattern target =
+  Plan.compile ~freq:(Graph.label_freq target) pattern
 
 let test_subiso_triangle_in_k4 () =
   (* K4 uniform label contains C(4,3) = 4 triangles, 6 mappings each. *)
@@ -41,21 +46,23 @@ let test_subiso_triangle_in_k4 () =
       [ (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3) ]
   in
   let tri = triangle 0 0 0 in
-  check "mappings" 24 (List.length (Subiso.mappings ~pattern:tri ~target:k4));
+  check "mappings" 24
+    (List.length (Plan.all_mappings (plan_for tri k4) ~target:k4));
   check "distinct subgraphs" 4 (Support.single_graph tri k4)
 
 let test_subiso_label_mismatch () =
   let tri = triangle 0 1 2 in
   let k3 = triangle 0 1 1 in
-  check_bool "no embedding" false (Subiso.exists ~pattern:tri ~target:k3);
-  check_bool "self embedding" true (Subiso.exists ~pattern:tri ~target:tri)
+  check_bool "no embedding" false (Plan.exists (plan_for tri k3) ~target:k3);
+  check_bool "self embedding" true (Plan.exists (plan_for tri tri) ~target:tri)
 
 let test_subiso_non_induced () =
   (* Path 0-1-2 embeds into a triangle even though the triangle has the
      extra closing edge (embeddings are not induced). *)
   let path = Pattern.of_path_labels [| 0; 0; 0 |] in
   let tri = triangle 0 0 0 in
-  check_bool "non-induced ok" true (Subiso.exists ~pattern:path ~target:tri);
+  check_bool "non-induced ok" true
+    (Plan.exists (plan_for path tri) ~target:tri);
   (* 3 distinct subgraphs: each pair of triangle edges. *)
   check "path subgraphs in triangle" 3 (Support.single_graph path tri)
 
@@ -63,16 +70,15 @@ let test_subiso_anchored () =
   let path = Pattern.of_path_labels [| 0; 1 |] in
   let g = Graph.Builder.of_edges ~labels:[| 0; 1; 0; 1 |] [ (0, 1); (2, 3); (1, 2) ] in
   (* Vertex 2 (label 0) has two label-1 neighbors: 1 and 3. *)
+  let plan = plan_for path g in
   let hits = ref 0 in
-  Subiso.iter_mappings_anchored ~pattern:path ~target:g ~anchor:(0, 2)
-    (fun m ->
+  Plan.iter_anchored plan ~target:g ~anchor:(0, 2) (fun m ->
       incr hits;
       check "anchor respected" 2 m.(0));
   check "anchored count" 2 !hits;
   (* Anchoring vertex 1 (the label-1 end) on data vertex 3 leaves one map. *)
   let hits = ref 0 in
-  Subiso.iter_mappings_anchored ~pattern:path ~target:g ~anchor:(1, 3)
-    (fun m ->
+  Plan.iter_anchored plan ~target:g ~anchor:(1, 3) (fun m ->
       incr hits;
       check "anchor respected b" 3 m.(1));
   check "anchored count b" 1 !hits
@@ -83,7 +89,7 @@ let test_count_limit () =
       [ (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3) ]
   in
   let tri = triangle 0 0 0 in
-  check "limit" 5 (Subiso.count_mappings ~limit:5 ~pattern:tri ~target:k4 ())
+  check "limit" 5 (Plan.count_mappings ~limit:5 (plan_for tri k4) ~target:k4)
 
 (* Brute-force reference matcher: try all injective vertex maps. *)
 let brute_force_mappings ~pattern ~target =
@@ -123,31 +129,44 @@ let prop_subiso_matches_brute_force =
       let seed = (np * 100) + nt in
       let pattern = Gen_qcheck.connected ~seed ~n:np ~extra_edges:1 ~num_labels:2 in
       let target = Gen_qcheck.er ~seed:(seed + 1) ~n:nt ~avg_degree:3.0 ~num_labels:2 in
-      sort_mappings (Subiso.mappings ~pattern ~target)
+      sort_mappings (Plan.all_mappings (plan_for pattern target) ~target)
       = sort_mappings (brute_force_mappings ~pattern ~target))
 
 (* --- Embeddings as subgraphs --- *)
+
+(* The identity of a mapping's image subgraph: the sorted image edge set,
+   each edge packed as [u * data_n + v] with [u < v]. The paper counts
+   embeddings as subgraphs (§2), so two mappings with the same image have
+   equal keys. *)
+let key_of_mapping ~data_n ~pattern m =
+  let key =
+    Array.of_list
+      (List.map
+         (fun (pu, pv) ->
+           let u = m.(pu) and v = m.(pv) in
+           (min u v * data_n) + max u v)
+         (Graph.edges pattern))
+  in
+  Array.sort Int.compare key;
+  key
 
 let test_embedding_key () =
   let path = Pattern.of_path_labels [| 0; 0; 0 |] in
   (* Data path 0-1-2 has one subgraph but two mappings (both directions). *)
   let g = Pattern.of_path_labels [| 0; 0; 0 |] in
-  let ms = Subiso.mappings ~pattern:path ~target:g in
+  let ms = Plan.all_mappings (plan_for path g) ~target:g in
   check "two mappings" 2 (List.length ms);
-  let keys =
-    List.map (Embedding.key_of_mapping ~data_n:(Graph.n g) ~pattern:path) ms
-  in
-  check "one subgraph" 1
-    (List.length (List.sort_uniq Embedding.compare_key keys));
+  let keys = List.map (key_of_mapping ~data_n:(Graph.n g) ~pattern:path) ms in
+  check "one subgraph" 1 (List.length (List.sort_uniq compare keys));
   (* The plan executor visits that subgraph exactly once, no dedup. *)
   check "plan count" 1 (Plan.count (Plan.compile path) ~target:g)
 
 let test_key_equality () =
   let path = Pattern.of_path_labels [| 0; 0 |] in
-  let k1 = Embedding.key_of_mapping ~data_n:10 ~pattern:path [| 1; 2 |] in
-  let k2 = Embedding.key_of_mapping ~data_n:10 ~pattern:path [| 2; 1 |] in
-  check_bool "reversed image equal" true (Embedding.equal_key k1 k2);
-  check "compare agrees" 0 (Embedding.compare_key k1 k2)
+  let k1 = key_of_mapping ~data_n:10 ~pattern:path [| 1; 2 |] in
+  let k2 = key_of_mapping ~data_n:10 ~pattern:path [| 2; 1 |] in
+  check_bool "reversed image equal" true (k1 = k2);
+  check "compare agrees" 0 (compare k1 k2)
 
 (* --- Plans --- *)
 
@@ -181,10 +200,9 @@ let test_plan_exactly_once () =
   let plan = Plan.compile tri in
   let keys = ref [] in
   Plan.enumerate plan ~target:k4 (fun m ->
-      keys := Embedding.key_of_mapping ~data_n:4 ~pattern:tri m :: !keys);
+      keys := key_of_mapping ~data_n:4 ~pattern:tri m :: !keys);
   check "4 images" 4 (List.length !keys);
-  check "no image repeated" 4
-    (List.length (List.sort_uniq Embedding.compare_key !keys));
+  check "no image repeated" 4 (List.length (List.sort_uniq compare !keys));
   check "count" 4 (Plan.count plan ~target:k4);
   check "count_mappings = count * |Aut|" 24 (Plan.count_mappings plan ~target:k4);
   check "all_mappings" 24 (List.length (Plan.all_mappings plan ~target:k4))
@@ -228,7 +246,7 @@ let test_plan_zero_deadline () =
 let naive_mni p g =
   let np = Graph.n p in
   let images = Array.init np (fun _ -> Hashtbl.create 16) in
-  Subiso.iter_mappings ~pattern:p ~target:g (fun m ->
+  Plan.iter_all (plan_for p g) ~target:g (fun m ->
       Array.iteri (fun pv tv -> Hashtbl.replace images.(pv) tv ()) m);
   Array.fold_left (fun acc h -> min acc (Hashtbl.length h)) max_int images
   |> fun x -> if x = max_int then 0 else x
@@ -275,21 +293,18 @@ let prop_plan_matches_dedup_backtrack =
       in
       let data_n = Graph.n target in
       let image_keys ms =
-        List.sort Embedding.compare_key
-          (List.map (Embedding.key_of_mapping ~data_n ~pattern) ms)
+        List.sort compare (List.map (key_of_mapping ~data_n ~pattern) ms)
       in
-      let plan =
-        Plan.compile ~freq:(fun l -> Graph.label_freq target l) pattern
-      in
+      let plan = plan_for pattern target in
       let plan_keys =
         let acc = ref [] in
         Plan.enumerate plan ~target (fun m -> acc := Array.copy m :: !acc);
         image_keys !acc
       in
       let legacy_keys =
-        List.sort_uniq Embedding.compare_key
+        List.sort_uniq compare
           (List.map
-             (Embedding.key_of_mapping ~data_n ~pattern)
+             (key_of_mapping ~data_n ~pattern)
              (brute_force_mappings ~pattern ~target))
       in
       plan_keys = legacy_keys

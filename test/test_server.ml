@@ -8,6 +8,7 @@ open Spm_graph
 open Spm_core
 module Codec = Spm_store.Codec
 module Store = Spm_store.Store
+module Plan = Spm_pattern.Plan
 module Lru = Spm_server.Lru
 module Sig_index = Spm_server.Sig_index
 module Protocol = Spm_server.Protocol
@@ -144,7 +145,9 @@ let test_sig_index_containment () =
       let naive =
         List.filter
           (fun (m : Skinny_mine.mined) ->
-            Spm_pattern.Subiso.exists ~pattern:m.pattern ~target)
+            Plan.exists
+              (Plan.compile ~freq:(Graph.label_freq target) m.pattern)
+              ~target)
           s.Store.patterns
       in
       let via_index = Sig_index.contained_in idx target in
@@ -305,7 +308,9 @@ let test_end_to_end () =
           let naive =
             List.filter
               (fun (m : Skinny_mine.mined) ->
-                Spm_pattern.Subiso.exists ~pattern:m.pattern ~target:probe)
+                Plan.exists
+                  (Plan.compile ~freq:(Graph.label_freq probe) m.pattern)
+                  ~target:probe)
               s.Store.patterns
           in
           Alcotest.(check string) "wire containment = direct subiso"
@@ -392,9 +397,8 @@ let nbr_mine g =
     ~config:{ Skinny_mine.Config.default with family = nbr_family }
     g ~l:0 ~delta:2 ~sigma:2
 
-(* Old-protocol fallback: a skinny Mine still travels as the pre-v5 tag-2
-   bytes, so v2 servers keep answering it; only the neighborhood Mine needs
-   the v5 tag-11 request. *)
+(* Request tags: a skinny Mine travels as tag 2, a neighborhood Mine as
+   tag 11. *)
 let test_neighborhood_wire_pins () =
   let skinny = Protocol.Mine (Protocol.mine_params ~l:3 ~delta:1 ~sigma:2 ()) in
   let nbr =
@@ -402,10 +406,8 @@ let test_neighborhood_wire_pins () =
       (Protocol.mine_params ~family:nbr_family ~l:0 ~delta:2 ~sigma:2 ())
   in
   check "skinny Mine keeps tag 2" 2 (Char.code (Protocol.encode_request skinny).[0]);
-  check "skinny Mine stays v2" 2 (Protocol.request_version skinny);
   check "neighborhood Mine is tag 11" 11
-    (Char.code (Protocol.encode_request nbr).[0]);
-  check "neighborhood Mine needs v5" 5 (Protocol.request_version nbr)
+    (Char.code (Protocol.encode_request nbr).[0])
 
 let test_neighborhood_end_to_end () =
   let g = Lazy.force nbr_graph in
@@ -583,7 +585,30 @@ let test_disconnect_mid_mine () =
       Client.with_connection ~port Client.shutdown;
       check_bool "server stopping" true (Server.stopping srv))
 
-(* --- evolving graphs: protocol v3 --- *)
+(* [serve] returns after a [Shutdown] although another client still holds
+   an idle connection: the graceful stop makes that connection read EOF. *)
+let test_shutdown_with_idle_connection () =
+  let srv = Server.create ~jobs:1 () in
+  let fd, port = Server.listen ~port:0 () in
+  let returned = Atomic.make false in
+  let server_thread =
+    Thread.create
+      (fun () ->
+        Server.serve srv fd;
+        Atomic.set returned true)
+      ()
+  in
+  let idle = Client.connect ~port () in
+  Fun.protect
+    ~finally:(fun () -> Client.close idle)
+    (fun () ->
+      Client.ping idle;
+      Client.with_connection ~port Client.shutdown;
+      check_bool "serve returned within 5 s, idle connection still open" true
+        (Testutil.within ~seconds:5.0 (fun () -> Atomic.get returned));
+      Thread.join server_thread)
+
+(* --- evolving graphs: Update and Subscribe --- *)
 
 let test_protocol_v3_roundtrip () =
   let edits =
@@ -594,10 +619,8 @@ let test_protocol_v3_roundtrip () =
     (fun req ->
       check_bool "v3 request round trip" true
         (Protocol.decode_request (Protocol.encode_request req) = req);
-      check "v3 verbs need v3" 3 (Protocol.request_version req);
       check_bool "v3 verbs not cacheable" false (Protocol.cacheable req))
     reqs;
-  check "v2 verbs stay v2" 2 (Protocol.request_version Protocol.Ping);
   let s = corpus_store () in
   let u =
     {
@@ -672,8 +695,6 @@ let test_update_subscribe_e2e () =
             (fun () ->
               check "subscribed at v0" 0 (Client.subscribe subscriber);
               Client.with_connection ~port (fun c ->
-                  check "negotiated newest" Protocol.version
-                    (Client.version c);
                   (* Prime the LRU with a pre-update answer. *)
                   let before =
                     Client.mine c
@@ -733,103 +754,6 @@ let test_update_subscribe_e2e () =
         Alcotest.(check string) "restart = edited-graph mine" (render expected)
           (render ms)
       | _ -> Alcotest.fail "expected Patterns")
-
-(* A v2 greeting still works end to end, and v3-only verbs on that
-   connection are refused rather than half-served. *)
-let test_v2_connection_compat () =
-  let s = corpus_store () in
-  let srv = Server.create ~jobs:1 () in
-  Server.set_store srv s;
-  let fd, port = Server.listen ~port:0 () in
-  let server_thread = Thread.create (fun () -> Server.serve srv fd) () in
-  Fun.protect
-    ~finally:(fun () ->
-      Client.with_connection ~port Client.shutdown;
-      Thread.join server_thread)
-    (fun () ->
-      let raw = Unix.socket PF_INET SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close raw with Unix.Unix_error _ -> ())
-        (fun () ->
-          Unix.connect raw (ADDR_INET (Unix.inet_addr_loopback, port));
-          Protocol.client_handshake ~version:2 raw;
-          let round req =
-            Protocol.write_frame raw (Protocol.encode_request req);
-            match Protocol.read_frame raw with
-            | Some frame -> Protocol.decode_response frame
-            | None -> Alcotest.fail "no reply on v2 connection"
-          in
-          check_bool "v2 ping answered" true
-            ((round Protocol.Ping).Protocol.payload = Protocol.Pong);
-          (match
-             (round (Protocol.Update (Protocol.update_params [])))
-               .Protocol.payload
-           with
-          | Protocol.Error msg ->
-            let mentions_v3 =
-              let n = String.length msg in
-              let rec scan i =
-                i + 2 <= n && (String.sub msg i 2 = "v3" || scan (i + 1))
-              in
-              scan 0
-            in
-            check_bool "refusal names the version gap" true mentions_v3
-          | _ -> Alcotest.fail "v3 verb served on a v2 connection");
-          (* The refusal is per-request: the connection keeps working. *)
-          check_bool "v2 connection survives the refusal" true
-            ((round Protocol.Ping).Protocol.payload = Protocol.Pong)))
-
-(* New client against an old (pre-v3) server: the fallback reconnect
-   negotiates v2. Simulated with a minimal greeter that only knows
-   "SKNYSRV2" and answers one Ping. *)
-let test_client_falls_back_to_v2 () =
-  let lfd, port = Server.listen ~port:0 () in
-  let old_server () =
-    let serve_one () =
-      let conn, _ = Unix.accept lfd in
-      let finish () = try Unix.close conn with Unix.Unix_error _ -> () in
-      match
-        let b = Bytes.create 8 in
-        let rec fill off =
-          if off < 8 then
-            match Unix.read conn b off (8 - off) with
-            | 0 -> raise Exit
-            | k -> fill (off + k)
-        in
-        fill 0;
-        Bytes.to_string b
-      with
-      | "SKNYSRV2" ->
-        (* the one greeting an old build knows *)
-        let rec all s off =
-          if off < String.length s then
-            all s (off + Unix.write_substring conn s off (String.length s - off))
-        in
-        all "SKNYSRV2" 0;
-        (match Protocol.read_frame conn with
-        | Some _ ->
-          Protocol.write_frame conn
-            (Protocol.encode_response (Protocol.response Protocol.Pong))
-        | None -> ());
-        finish ()
-      | _ | (exception Exit) -> finish ()
-    in
-    (* The client walks down one version per connection: v5, v4 and v3
-       attempts (closed unanswered), then the v2 fallback. *)
-    serve_one ();
-    serve_one ();
-    serve_one ();
-    serve_one ()
-  in
-  let th = Thread.create old_server () in
-  Fun.protect
-    ~finally:(fun () ->
-      Thread.join th;
-      try Unix.close lfd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Client.with_connection ~port (fun c ->
-          check "fell back to v2" 2 (Client.version c);
-          Client.ping c))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -891,6 +815,8 @@ let () =
             test_wire_progress_and_cancel;
           Alcotest.test_case "client disconnect mid-mine" `Quick
             test_disconnect_mid_mine;
+          Alcotest.test_case "shutdown with an idle connection open" `Quick
+            test_shutdown_with_idle_connection;
         ] );
       ( "evolving",
         [
@@ -898,9 +824,5 @@ let () =
             test_protocol_v3_roundtrip;
           Alcotest.test_case "update + subscribe + journal replay" `Quick
             test_update_subscribe_e2e;
-          Alcotest.test_case "v2 connection compat" `Quick
-            test_v2_connection_compat;
-          Alcotest.test_case "client falls back to v2 server" `Quick
-            test_client_falls_back_to_v2;
         ] );
     ]

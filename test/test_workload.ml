@@ -113,7 +113,10 @@ let test_weibo_like () =
         (Graph.label c.Weibo_like.graph c.Weibo_like.root);
       if c.Weibo_like.has_motif then
         check_bool "motif embedded" true
-          (Spm_pattern.Subiso.exists ~pattern:motif ~target:c.Weibo_like.graph))
+          (let target = c.Weibo_like.graph in
+           Spm_pattern.Plan.exists
+             (Spm_pattern.Plan.compile ~freq:(Graph.label_freq target) motif)
+             ~target))
     convs
 
 let test_weibo_motif_frequency () =

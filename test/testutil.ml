@@ -17,3 +17,18 @@ let with_temp_dir ?(prefix = "spm_test_") f =
       f dir)
 
 let temp_file_in dir name = Filename.concat dir name
+
+(* Poll [ready] every 10 ms until it holds or [seconds] pass; [true] if it
+   held. A test runs a blocking call on a thread and polls for its end this
+   way, so a call that never returns fails the test instead of hanging it. *)
+let within ~seconds ready =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec poll () =
+    ready ()
+    || Unix.gettimeofday () < deadline
+       && begin
+            Thread.delay 0.01;
+            poll ()
+          end
+  in
+  poll ()
