@@ -43,22 +43,30 @@ val mine :
   l:int ->
   sigma:int ->
   result
-(** All frequent simple paths of length exactly [l] (>= 1). [support] maps a
-    list of subgraph-deduped embeddings to a support value; the default is
-    their count (|E[P]|). The transaction adaptation passes a distinct-
-    transaction counter.
+(** All frequent simple paths of length exactly [l] (>= 1).
 
-    [pool] (default {!Spm_engine.Pool.serial}) parallelizes the candidate
-    extension loops: each concat/merge/frequency step partitions the
-    directed-path table across the pool's domains. Entries are returned in
-    canonical order (sorted labels, sorted embeddings), so the result is
-    bit-identical whatever the pool size.
+    [support] judges one pattern: it receives the embeddings of one
+    canonical label sequence, deduped to one per subgraph, canonically
+    oriented ({!Path_pattern.Emb.canonical_orientation} for a palindrome)
+    and sorted. It must not depend on the orientation of an embedding and
+    must never exceed the number of embeddings it is given: each step counts
+    the directed paths of every candidate sequence first and stores only
+    those whose count can reach [sigma]. The default is their count
+    (|E[P]|); the transaction adaptation passes a distinct-transaction
+    counter.
 
-    [run] is polled once per directed path examined (and between pool task
-    claims); an interrupted run raises {!Spm_engine.Run.Cancelled} out of
-    this function — Stage I has no useful partial result, so the caller
-    decides what to salvage. Progress ticks count directed paths examined
-    and the level tracks the current power-of-2 length. *)
+    [pool] (default {!Spm_engine.Pool.serial}) parallelizes each
+    concatenation and merge step over the label sequences of the paths
+    being extended, and each support check over the canonical sequences.
+    Entries are returned in canonical order (sorted labels, sorted
+    embeddings), so the result is bit-identical whatever the pool size.
+
+    [run] is polled and ticked once per directed path examined: each path a
+    concatenation or merge step extends counts once, however many
+    extensions it has (and the pool polls between task claims). An
+    interrupted run raises {!Spm_engine.Run.Cancelled} out of this function
+    — Stage I has no useful partial result, so the caller decides what to
+    salvage. The level tracks the current power-of-2 length. *)
 
 (** The reusable power-of-2 table, for serving many values of l from one
     precomputation (the direct-mining index of Figure 2). *)
@@ -75,8 +83,8 @@ module Powers : sig
     up_to:int ->
     t
   (** Frequent paths of lengths 1, 2, 4, …, up to the largest power of 2 that
-      is <= [up_to] (or, if [up_to] < 1, nothing). [pool] parallelizes each
-      power-of-2 extension step; [run] is polled as in {!mine}. *)
+      is <= [up_to] (or, if [up_to] < 1, nothing). [support], [pool] and
+      [run] act as in {!mine}. *)
 
   val max_power : t -> int
   (** Largest power length materialized. *)
@@ -86,6 +94,4 @@ module Powers : sig
     ?pool:Spm_engine.Pool.t -> t -> l:int -> sigma:int -> entry list
   (** Frequent paths of length exactly [l] ([l] <= 2 * max_power is required
       unless [l] is itself a materialized power). *)
-
-  val stats : t -> stats
 end

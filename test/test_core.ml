@@ -250,6 +250,111 @@ let prop_diam_mine_exact_complete =
       diam_mine_summary (Diam_mine.mine ~prune_intermediate:false g ~l ~sigma:2)
       = brute_force_paths g ~l ~sigma:2)
 
+(* Pruned-mode reference: DiamMine's growth semantics by brute force. A
+   length-2k path is kept when the patterns of both its halves survived at
+   length k; a length-l path, p < l < 2p for the largest power p below l,
+   when both its overlapping length-p ends survived. A kept pattern
+   survives when [support] over its sorted, canonically oriented embeddings
+   reaches sigma. *)
+let pruned_reference ~support g ~l ~sigma =
+  let survivors ~len ~kept =
+    let by_labels = Hashtbl.create 64 in
+    Paths.iter_simple_paths g ~length:len (fun path ->
+        let labels = Path_pattern.of_vertex_path g path in
+        let c = Path_pattern.canonical labels in
+        if kept path then begin
+          (* [path] is in canonical orientation; a non-palindrome reads [c]
+             in one direction only. *)
+          let emb =
+            if labels = c then Array.copy path
+            else Array.init (len + 1) (fun i -> path.(len - i))
+          in
+          let embs = Option.value ~default:[] (Hashtbl.find_opt by_labels c) in
+          Hashtbl.replace by_labels c (emb :: embs)
+        end);
+    Hashtbl.fold
+      (fun labels embs acc ->
+        let embeddings = List.sort compare embs in
+        if support embeddings >= sigma then
+          { Diam_mine.labels; embeddings } :: acc
+        else acc)
+      by_labels []
+    |> List.sort (fun a b ->
+           Path_pattern.compare_labels a.Diam_mine.labels b.Diam_mine.labels)
+  in
+  let survived entries path ~from ~len =
+    let labels =
+      Path_pattern.of_vertex_path g (Array.sub path from (len + 1))
+    in
+    List.exists
+      (fun e -> e.Diam_mine.labels = Path_pattern.canonical labels)
+      entries
+  in
+  let rec powers k entries =
+    if 2 * k > l then (k, entries)
+    else
+      powers (2 * k)
+        (survivors ~len:(2 * k) ~kept:(fun path ->
+             survived entries path ~from:0 ~len:k
+             && survived entries path ~from:k ~len:k))
+  in
+  let p, entries = powers 1 (survivors ~len:1 ~kept:(fun _ -> true)) in
+  if p = l then entries
+  else
+    survivors ~len:l ~kept:(fun path ->
+        survived entries path ~from:0 ~len:p
+        && survived entries path ~from:(l - p) ~len:p)
+
+(* The transaction adaptation's input: graphs as one disjoint union, with
+   each vertex's transaction. *)
+let disjoint_union gs =
+  let b = Graph.Builder.create () in
+  let tx = ref [] in
+  List.iteri
+    (fun i g ->
+      let offset = Graph.Builder.n b in
+      Graph.iter_vertices
+        (fun v ->
+          ignore (Graph.Builder.add_vertex b (Graph.label g v));
+          tx := i :: !tx)
+        g;
+      Graph.iter_edges
+        (fun u v -> Graph.Builder.add_edge b (offset + u) (offset + v))
+        g)
+    gs;
+  (Graph.Builder.freeze b, Array.of_list (List.rev !tx))
+
+let prop_diam_mine_pruned_oracle =
+  QCheck.Test.make ~name:"pruned DiamMine equals its brute-force reference"
+    ~count:120
+    QCheck.(
+      quad (int_range 0 10_000) (int_range 1 7)
+        (pair (int_range 1 3) (int_range 2 3))
+        (pair (oneofl [ 1; 4 ]) (oneofl [ `Count; `Transactions; `Greedy ])))
+    (fun (seed, l, (sigma, num_labels), (jobs, kind)) ->
+      let st = Gen.rng seed in
+      let graph () =
+        Gen.erdos_renyi st ~n:(10 + Random.State.int st 10) ~avg_degree:2.8
+          ~num_labels
+      in
+      let g, support =
+        match kind with
+        | `Count -> (graph (), List.length)
+        | `Greedy -> (graph (), Disjoint_support.paths)
+        | `Transactions ->
+          let g, tx = disjoint_union (List.init 3 (fun _ -> graph ())) in
+          let support embs =
+            List.sort_uniq compare (List.map (fun e -> tx.(e.(0))) embs)
+            |> List.length
+          in
+          (g, support)
+      in
+      let mined =
+        Spm_engine.Pool.with_pool ~jobs (fun pool ->
+            (Diam_mine.mine ~support ~pool g ~l ~sigma).Diam_mine.entries)
+      in
+      mined = pruned_reference ~support g ~l ~sigma)
+
 (* --- Distance index --- *)
 
 (* Random valid growth sequence on top of a diameter path; compare the
@@ -503,6 +608,7 @@ let () =
           Alcotest.test_case "finds injected" `Quick test_diam_mine_finds_injected;
           Alcotest.test_case "embeddings valid" `Quick test_diam_mine_embeddings_valid;
           Alcotest.test_case "powers index" `Quick test_powers_serves_many_l;
+          QCheck_alcotest.to_alcotest prop_diam_mine_pruned_oracle;
         ] );
       ( "distance_index",
         [ Alcotest.test_case "leaf extension" `Quick test_distance_index_leaf ] );
