@@ -227,9 +227,11 @@ let embeddings lv s =
   done;
   List.sort compare !acc
 
-(* The patterns of [lv] whose [support] reaches sigma. Entries are sorted by
-   canonical labels and built from the level's content alone, so the result
-   is bit-identical whatever the pool size. *)
+(* The patterns of [lv] whose [support] reaches sigma. [None] is the
+   default support, the number of embeddings, which [reaches] has already
+   decided. Entries are sorted by canonical labels and built from the
+   level's content alone, so the result is bit-identical whatever the pool
+   size. *)
 let entries ?run pool ~support ~sigma lv =
   let judge s =
     guard run;
@@ -237,7 +239,9 @@ let entries ?run pool ~support ~sigma lv =
     if not (reaches ~sigma labels (count lv s)) then None
     else
       let embeddings = embeddings lv s in
-      if support embeddings >= sigma then Some { labels; embeddings } else None
+      match support with
+      | Some f when f embeddings < sigma -> None
+      | _ -> Some { labels; embeddings }
   in
   Pool.map ?run pool
     (fun slice -> List.filter_map judge (Array.to_list slice))
@@ -245,39 +249,45 @@ let entries ?run pool ~support ~sigma lv =
   |> Array.to_list |> List.concat
   |> List.sort (fun a b -> Path_pattern.compare_labels a.labels b.labels)
 
-(* The sequences of [lv] whose pattern is one of [kept]. *)
-let restrict lv kept =
-  let keep = Hashtbl.create 64 in
-  List.iter (fun e -> Hashtbl.replace keep e.labels ()) kept;
-  let ids =
-    List.filter
-      (fun s -> Hashtbl.mem keep (Path_pattern.canonical lv.seqs.(s)))
-      (sequences lv)
-    |> Array.of_list
-  in
+(* The sequences [s] of [lv] for which [keep s] holds. *)
+let filter lv keep =
+  let ids = List.filter keep (sequences lv) |> Array.of_list in
   {
     lv with
     seqs = Array.map (Array.get lv.seqs) ids;
     rows = Array.map (Array.get lv.rows) ids;
   }
 
+(* The sequences of [lv] whose pattern reaches sigma under [support].
+   Under the default count no embedding list is built: a sequence and its
+   reverse have one count, so [reaches] keeps exactly the sequences of the
+   entries [entries] would return. *)
+let restrict ?run pool ~support ~sigma lv =
+  match support with
+  | None -> filter lv (fun s -> reaches ~sigma lv.seqs.(s) (count lv s))
+  | Some _ ->
+    let keep = Hashtbl.create 64 in
+    List.iter
+      (fun e -> Hashtbl.replace keep e.labels ())
+      (entries ?run pool ~support ~sigma lv);
+    filter lv (fun s -> Hashtbl.mem keep (Path_pattern.canonical lv.seqs.(s)))
+
 module Powers = struct
   type t = {
-    support : int array list -> int;
+    support : (int array list -> int) option; (* [None]: the count *)
     levels : (int * level) list; (* ascending lengths 1, 2, 4, ... *)
     per_power : (int * int * float) list;
   }
 
-  let build ?(prune_intermediate = true) ?(support = List.length) ?run
-      ?(pool = Pool.serial) g ~sigma ~up_to =
+  let build ?(prune_intermediate = true) ?support ?run ?(pool = Pool.serial) g
+      ~sigma ~up_to =
     let stats = ref [] in
     let step len make =
       (match run with Some r -> Run.set_level r len | None -> ());
       let t = Clock.now () in
       let lv = make () in
       let lv =
-        if prune_intermediate then
-          restrict lv (entries ?run pool ~support ~sigma lv)
+        if prune_intermediate then restrict ?run pool ~support ~sigma lv
         else lv
       in
       stats := (len, List.length (canonical lv), Clock.now () -. t) :: !stats;

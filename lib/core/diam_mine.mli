@@ -52,8 +52,9 @@ val mine :
     must never exceed the number of embeddings it is given: each step counts
     the directed paths of every candidate sequence first and stores only
     those whose count can reach [sigma]. The default is their count
-    (|E[P]|); the transaction adaptation passes a distinct-transaction
-    counter.
+    (|E[P]|), which the σ filter at each power reads off those counts
+    without building an embedding list; the transaction adaptation passes a
+    distinct-transaction counter.
 
     [pool] (default {!Spm_engine.Pool.serial}) parallelizes each
     concatenation and merge step over the label sequences of the paths

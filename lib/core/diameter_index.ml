@@ -77,7 +77,8 @@ let snapshot t =
   in
   { snap_sigma = t.sigma; snap_l_max = t.l_max; lengths }
 
-let of_snapshot ?(prune_intermediate = true) ?(jobs = 1) g snap =
+let of_snapshot ?(prune_intermediate = true) ?path_support ?(jobs = 1) g snap
+    =
   let cache = Hashtbl.create 16 in
   List.iter (fun (l, e) -> Hashtbl.replace cache l e) snap.lengths;
   {
@@ -89,8 +90,8 @@ let of_snapshot ?(prune_intermediate = true) ?(jobs = 1) g snap =
     powers =
       lazy
         (with_jobs_pool jobs (fun pool ->
-             Diam_mine.Powers.build ~prune_intermediate ~pool g
-               ~sigma:snap.snap_sigma ~up_to:snap.snap_l_max));
+             Diam_mine.Powers.build ~prune_intermediate ?support:path_support
+               ~pool g ~sigma:snap.snap_sigma ~up_to:snap.snap_l_max));
     cache;
     build_seconds = 0.0;
   }

@@ -46,11 +46,19 @@ type snapshot = {
 val snapshot : t -> snapshot
 
 val of_snapshot :
-  ?prune_intermediate:bool -> ?jobs:int -> Spm_graph.Graph.t -> snapshot -> t
+  ?prune_intermediate:bool ->
+  ?path_support:(int array list -> int) ->
+  ?jobs:int ->
+  Spm_graph.Graph.t ->
+  snapshot ->
+  t
 (** Index serving every snapshotted length without recomputation. A request
     for a length outside the snapshot triggers a full lazy Stage-I rebuild
-    (under [prune_intermediate], default [true], with the default |E[P]|
-    path support — custom path-support functions are not serializable). *)
+    under [prune_intermediate] (default [true]) and [path_support] (default
+    |E[P]|). A support function is not serializable, so a snapshot does not
+    record it: restore with the [path_support] the index was built with, or
+    a rebuilt length is judged by another support than the snapshotted
+    ones. *)
 
 val entries : ?run:Spm_engine.Run.t -> t -> l:int -> Diam_mine.entry list
 (** Frequent length-l paths with embeddings; cached after the first call.

@@ -48,7 +48,7 @@ type cand = {
   mutable admitted : bool;
       (* false once rejected: on the pattern during enumeration (an [Exact]
          leaf verdict), or by the check on the built child *)
-  mutable keyed : bool; (* the child's canonical key is in [decided] *)
+  mutable judged : bool; (* the child is in [decided] *)
   mutable count : int; (* mappings of the child *)
   mutable covered : int; (* parent mappings it extends *)
   mutable last : int; (* index of the last parent mapping counted *)
@@ -108,7 +108,7 @@ let relax_levels scratch pattern' levels u v =
   done
 
 let new_cand desc admitted =
-  { desc; admitted; keyed = false; count = 0; covered = 0; last = -1 }
+  { desc; admitted; judged = false; count = 0; covered = 0; last = -1 }
 
 (* Mapping [i] of the parent yields one more mapping of [c]'s child. *)
 let count_mapping c i =
@@ -286,10 +286,10 @@ let grow ?(mode = Constraints.Exact) ?(family = Constraints.Skinny)
         | None -> default_support diameter_pattern (List.length init_maps));
     }
   in
-  (* Unique generation: every pattern whose key is in [decided] has been
-     judged exactly once (accepted or infrequent); verdicts are
-     derivation-independent, so re-derivations are skipped. *)
-  let decided : (string, unit) Hashtbl.t = Hashtbl.create 256 in
+  (* Unique generation: every pattern in [decided] (a set up to
+     isomorphism) has been judged exactly once (accepted or infrequent);
+     verdicts are derivation-independent, so re-derivations are skipped. *)
+  let decided = Canon.Set.create () in
   let out = ref [] in
   let interrupted = ref false in
   (* [full] = this run's emission budget is spent: stop exploring but finish
@@ -312,7 +312,7 @@ let grow ?(mode = Constraints.Exact) ?(family = Constraints.Skinny)
       if Spm_engine.Run.budget_exhausted run then full := true
     end
   in
-  Hashtbl.replace decided (Canon.key init.pattern) ();
+  ignore (Canon.Set.add decided init.pattern);
   (* [Exact] decides every leaf on the pattern, per host, during
      enumeration; the other modes, and every closing edge, are checked on
      the built child. *)
@@ -353,12 +353,12 @@ let grow ?(mode = Constraints.Exact) ?(family = Constraints.Skinny)
       incr rejected;
       `Rejected
     end
-    else if c.keyed then `Dup
+    else if c.judged then `Dup
     else begin
       let pattern' = child_pattern st c.desc in
       let idx' = lazy (child_index st pattern' c.desc) in
       (* Constraints first: rejections are by far the most common outcome
-         and must not pay for canonicalization. (Verdicts depend on WHICH
+         and must not pay for the isomorphism dedup. (Verdicts depend on WHICH
          vertices carry the diameter — two isomorphic constructions can
          differ, e.g. a paw built as triangle-on-the-diameter vs
          triangle-on-a-twig — so a rejection is remembered for this
@@ -383,11 +383,9 @@ let grow ?(mode = Constraints.Exact) ?(family = Constraints.Skinny)
         `Rejected
       end
       else begin
-        let key = Canon.key pattern' in
-        c.keyed <- true;
-        if Hashtbl.mem decided key then `Dup
-        else begin
-          Hashtbl.replace decided key ();
+        c.judged <- true;
+        if not (Canon.Set.add decided pattern') then `Dup
+        else
           match judge_support st pattern' c with
           | None ->
             incr infreq;
@@ -401,7 +399,6 @@ let grow ?(mode = Constraints.Exact) ?(family = Constraints.Skinny)
                 maps;
                 support;
               }
-        end
       end
     end
   in

@@ -6,8 +6,11 @@
     on any vertex whose level leaves room under δ) and closing edges; every
     extension must pass Constraints I–III ({!Constraints.check}) and the σ
     frequency test on distinct embedding subgraphs. Patterns are
-    deduplicated by canonical key, which also provides the unique-generation
-    guarantee.
+    deduplicated up to isomorphism, which also provides the unique-generation
+    guarantee: [decided], a per-call {!Spm_pattern.Canon.Set}, holds the
+    diameter and every admissible child judged so far (accepted or
+    infrequent), packed and bucketed by an isomorphism invariant. No minimal
+    DFS code is computed (DESIGN.md §22).
 
     Decisions are made on the pattern before embedding work is paid for
     (DESIGN.md §20). Enumeration keeps only a mapping count and a
@@ -30,7 +33,7 @@ type stats = {
   extensions_tried : int;
       (** extension attempts: one per descriptor a state tries, whatever
           decided it (a leaf verdict, the check on the built child, the
-          canonical-key table or support). In closed growth a state with no
+          [decided] set or support). In closed growth a state with no
           applicable support-preserving extension tries its universal
           descriptors twice, once eagerly and once when it branches, and
           both attempts count. *)
@@ -38,8 +41,8 @@ type stats = {
       (** attempts rejected by the constraint, on the pattern or on the
           built child *)
   infrequent : int;
-      (** new canonical patterns whose support is below σ; each key counts
-          once *)
+      (** new patterns whose support is below σ; each isomorphism class
+          counts once *)
   emitted : int;  (** patterns returned *)
   interrupted : bool;
       (** the run was cancelled or timed out mid-closure; the mined list is

@@ -854,7 +854,7 @@ let encode_index idx =
   emit_index w idx;
   Codec.W.contents w
 
-let decode_index ?prune_intermediate ?jobs s =
+let decode_index ?prune_intermediate ?path_support ?jobs s =
   let r, v = open_reader s ~kind:kind_index in
   if v <> 1 then
     raise (Codec.Corrupt (Printf.sprintf "unsupported index snapshot version %d" v));
@@ -869,9 +869,9 @@ let decode_index ?prune_intermediate ?jobs s =
         let entries = Codec.R.list r read_entry in
         (l, entries))
   in
-  Diameter_index.of_snapshot ?prune_intermediate ?jobs graph
+  Diameter_index.of_snapshot ?prune_intermediate ?path_support ?jobs graph
     { snap_sigma; snap_l_max; lengths }
 
 let save_index path idx = save_via path (fun w -> emit_index w idx)
-let load_index ?prune_intermediate ?jobs path =
-  decode_index ?prune_intermediate ?jobs (read_file path)
+let load_index ?prune_intermediate ?path_support ?jobs path =
+  decode_index ?prune_intermediate ?path_support ?jobs (read_file path)

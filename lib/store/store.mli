@@ -173,14 +173,24 @@ val g2_checked_byte_ranges : string -> (int * int) list
 
     Persist Stage I: every frequent-path entry list the index has
     materialized, so a restored index serves those lengths without
-    re-mining. *)
+    re-mining. [prune_intermediate], [path_support] and [jobs] go to
+    {!Spm_core.Diameter_index.of_snapshot}; a path support is not stored, so
+    pass the one the index was built with. *)
 
 val encode_index : Spm_core.Diameter_index.t -> string
 
 val decode_index :
-  ?prune_intermediate:bool -> ?jobs:int -> string -> Spm_core.Diameter_index.t
+  ?prune_intermediate:bool ->
+  ?path_support:(int array list -> int) ->
+  ?jobs:int ->
+  string ->
+  Spm_core.Diameter_index.t
 
 val save_index : string -> Spm_core.Diameter_index.t -> unit
 
 val load_index :
-  ?prune_intermediate:bool -> ?jobs:int -> string -> Spm_core.Diameter_index.t
+  ?prune_intermediate:bool ->
+  ?path_support:(int array list -> int) ->
+  ?jobs:int ->
+  string ->
+  Spm_core.Diameter_index.t

@@ -451,8 +451,147 @@ let test_canon_set () =
   check_bool "iso rejected" false
     (Canon.Set.add s (Graph.Builder.of_edges ~labels:[| 2; 0; 1 |] [ (0, 1); (1, 2); (0, 2) ]));
   check_bool "path added" true (Canon.Set.add s (Pattern.of_path_labels [| 0; 1; 2 |]));
-  check "cardinal" 2 (Canon.Set.cardinal s);
-  check "to_list" 2 (List.length (Canon.Set.to_list s))
+  check "cardinal" 2 (Canon.Set.cardinal s)
+
+let cycle k ~label =
+  Graph.Builder.of_edges ~labels:(Array.make k label)
+    (List.init k (fun i -> (i, (i + 1) mod k)))
+
+(* Pairs that colour refinement cannot split: every vertex has one label
+   and one degree, so the invariants agree and only the exact test tells
+   them apart. *)
+let test_canon_refinement_ties () =
+  let two_triangles =
+    Graph.Builder.of_edges ~labels:(Array.make 6 0)
+      [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3) ]
+  in
+  let prism =
+    Graph.Builder.of_edges ~labels:(Array.make 6 0)
+      [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3); (0, 3); (1, 4); (2, 5) ]
+  in
+  let k33 =
+    Graph.Builder.of_edges ~labels:(Array.make 6 0)
+      (List.concat_map (fun u -> [ (u, 3); (u, 4); (u, 5) ]) [ 0; 1; 2 ])
+  in
+  List.iter
+    (fun (name, p, q) ->
+      check_bool (name ^ ": keys differ") false
+        (String.equal (Canon.key p) (Canon.key q));
+      check_bool (name ^ ": not iso") false (Canon.iso p q);
+      let s = Canon.Set.create () in
+      check_bool (name ^ ": first added") true (Canon.Set.add s p);
+      check_bool (name ^ ": second added") true (Canon.Set.add s q);
+      check (name ^ ": both kept") 2 (Canon.Set.cardinal s))
+    [
+      ("C6 vs two triangles", cycle 6 ~label:0, two_triangles);
+      ("prism vs K3,3", prism, k33);
+    ]
+
+let test_canon_set_permuted_member () =
+  let p =
+    Graph.Builder.of_edges ~labels:[| 0; 1; 0; 1; 0 |]
+      [ (0, 1); (1, 2); (2, 3); (3, 0); (3, 4) ]
+  in
+  let s = Canon.Set.create () in
+  check_bool "added" true (Canon.Set.add s p);
+  List.iter
+    (fun seed ->
+      let q, _ = Gen_qcheck.permute_graph ~seed p in
+      check_bool "permuted copy present" true (Canon.Set.mem s q);
+      check_bool "permuted copy not added" false (Canon.Set.add s q))
+    [ 1; 2; 3; 4; 5 ];
+  check "one member" 1 (Canon.Set.cardinal s)
+
+(* A random pattern with n <= 8 and 1-3 labels, so label ties are common;
+   one in eight is edgeless and many are disconnected. *)
+let small_pattern st =
+  let spec =
+    Gen_qcheck.spec_of_seed ~max_n:8 ~max_labels:3 (Random.State.bits st)
+  in
+  let edges =
+    match Random.State.int st 8 with
+    | 0 -> []
+    | 1 | 2 -> List.filter (fun _ -> Random.State.bool st) spec.edges
+    | _ -> spec.edges
+  in
+  Graph.Builder.of_edges ~labels:spec.labels edges
+
+(* [p] with one edge moved to a non-edge, or one vertex relabelled, then
+   permuted: same order, often the same size and label multiset, and only
+   sometimes isomorphic. *)
+let near_miss st p =
+  let n = Graph.n p in
+  let labels = Array.copy (Graph.labels p) in
+  let edges = Graph.edges p in
+  let edges =
+    let non_edges =
+      List.concat
+        (List.init n (fun u ->
+             List.filter_map
+               (fun v ->
+                 if u < v && not (Graph.has_edge p u v) then Some (u, v)
+                 else None)
+               (List.init n Fun.id)))
+    in
+    if edges <> [] && non_edges <> [] && Random.State.bool st then
+      let drop = List.nth edges (Random.State.int st (List.length edges)) in
+      List.nth non_edges (Random.State.int st (List.length non_edges))
+      :: List.filter (fun e -> e <> drop) edges
+    else begin
+      if n > 0 then labels.(Random.State.int st n) <- Random.State.int st 3;
+      edges
+    end
+  in
+  fst
+    (Gen_qcheck.permute_graph ~seed:(Random.State.bits st)
+       (Graph.Builder.of_edges ~labels edges))
+
+(* Half permuted copies, half near misses. *)
+let partner st p =
+  if Random.State.bool st then
+    fst (Gen_qcheck.permute_graph ~seed:(Random.State.bits st) p)
+  else near_miss st p
+
+let prop_canon_iso_matches_key =
+  QCheck.Test.make ~name:"Canon.iso agrees with Canon.key equality" ~count:2000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Gen.rng seed in
+      let p = small_pattern st in
+      let q = partner st p in
+      let same_key = String.equal (Canon.key p) (Canon.key q) in
+      Canon.iso p q = same_key && Canon.iso q p = same_key)
+
+let prop_canon_set_matches_keys =
+  QCheck.Test.make ~name:"Canon.Set agrees with a set of Canon.key strings"
+    ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Gen.rng seed in
+      let s = Canon.Set.create () and keys = Hashtbl.create 32 in
+      let seen = ref [] in
+      let agree p =
+        let k = Canon.key p in
+        let fresh = not (Hashtbl.mem keys k) in
+        Hashtbl.replace keys k ();
+        seen := p :: !seen;
+        Canon.Set.mem s p <> fresh
+        && Canon.Set.add s p = fresh
+        && Canon.Set.mem s p
+      in
+      let rec go i =
+        i = 0
+        ||
+        let p =
+          match !seen with
+          | _ :: _ when Random.State.int st 3 > 0 ->
+            let k = Random.State.int st (List.length !seen) in
+            partner st (List.nth !seen k)
+          | _ -> small_pattern st
+        in
+        agree p && go (i - 1)
+      in
+      go 30 && Canon.Set.cardinal s = Hashtbl.length keys)
 
 let prop_canon_permutation_stable =
   QCheck.Test.make ~name:"canonical key invariant under permutation" ~count:60
@@ -521,6 +660,12 @@ let () =
           Alcotest.test_case "single vertex" `Quick test_canon_single_vertex;
           Alcotest.test_case "disconnected" `Quick test_canon_disconnected;
           Alcotest.test_case "set" `Quick test_canon_set;
+          Alcotest.test_case "refinement ties stay distinct" `Quick
+            test_canon_refinement_ties;
+          Alcotest.test_case "permuted member present" `Quick
+            test_canon_set_permuted_member;
+          QCheck_alcotest.to_alcotest prop_canon_iso_matches_key;
+          QCheck_alcotest.to_alcotest prop_canon_set_matches_keys;
         ] );
       qsuite "props"
         [

@@ -433,6 +433,20 @@ let test_index_snapshot_file () =
         (entries_equal (Diameter_index.entries idx ~l:2)
            (Diameter_index.entries idx' ~l:2)))
 
+(* A support function is not part of the snapshot: the restore names it
+   again, and a length outside the snapshot is rebuilt under it. *)
+let test_index_snapshot_path_support () =
+  let g =
+    Gen.erdos_renyi (Gen.rng 25) ~n:800 ~avg_degree:2.5 ~num_labels:25
+  in
+  let path_support = Disjoint_support.paths in
+  let idx = Diameter_index.build ~path_support g ~sigma:2 ~l_max:4 in
+  let idx' = Store.decode_index ~path_support (Store.encode_index idx) in
+  let e3 = Diameter_index.entries idx ~l:3 in
+  check_bool "l=3 has entries" true (e3 <> []);
+  check_bool "l=3 rebuilt under the same support" true
+    (entries_equal e3 (Diameter_index.entries idx' ~l:3))
+
 let test_store_kind_mismatch () =
   let s = mined_store 19 in
   let bytes = Store.encode s in
@@ -495,5 +509,7 @@ let () =
           Alcotest.test_case "entries and requests preserved" `Quick
             test_index_snapshot;
           Alcotest.test_case "file snapshot" `Quick test_index_snapshot_file;
+          Alcotest.test_case "path support survives a restore" `Quick
+            test_index_snapshot_path_support;
         ] );
     ]
